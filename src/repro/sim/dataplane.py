@@ -38,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..igp.ecmp import flow_hash
+from ..igp.ecmp import flow_hash, flow_hash_extend
 from ..mpls.fec import PrefixFec
 from ..mpls.vendor import get_profile
 from ..net.ip import Prefix
@@ -197,12 +197,17 @@ class DataPlane:
         cached = self._flapped.get(asn)
         if cached is None:
             bound = int(self.flap_rate * 10_000)
-            cached = frozenset(
-                link_id
-                for link_id in self.internet.network(asn).topology.links
-                if flow_hash(0xF1A9, self.era, asn, link_id)
-                % 10_000 < bound
-            ) if bound else frozenset()
+            if bound:
+                # flow_hash(0xF1A9, era, asn, link_id), prefix folded
+                # once per AS.
+                prefix = flow_hash(0xF1A9, self.era, asn)
+                cached = frozenset(
+                    link_id
+                    for link_id in self.internet.network(asn).topology.links
+                    if flow_hash_extend(prefix, link_id) % 10_000 < bound
+                )
+            else:
+                cached = frozenset()
             self._flapped[asn] = cached
         return cached
 

@@ -547,6 +547,12 @@ class SegmentCache:
     instead of re-enumerating DAG paths per era.  Entries computed under
     withdrawn links are keyed by the exact excluded-link set, which
     makes hits exact across eras and flap rates.
+
+    Withdrawn links that lie on no shortest path from ``entry`` to
+    ``target`` change no distance and no successor list on that sub-DAG
+    (distances only grow when links go away, and every sub-DAG router
+    keeps its intact shortest paths), so such a degraded entry *is* the
+    intact one and no SPF runs for it (DESIGN §8).
     """
 
     SEGMENT_LIMIT = 64
@@ -557,6 +563,10 @@ class SegmentCache:
         # (asn, entry, target, excluded link ids) -> degraded segments
         self._degraded: Dict[Tuple[int, int, int, frozenset],
                              List[list]] = {}
+        # (asn, entry, target) -> link ids of the intact shortest-path
+        # sub-DAG from entry to target (all of it, unlike the segment
+        # list, which SEGMENT_LIMIT may cut short)
+        self._dag_links: Dict[Tuple[int, int, int], frozenset] = {}
         # Plain-int hit/miss tallies.  Deliberately not registry
         # counters: the cache is shared internet-wide across eras and
         # worker layouts, so its totals are per-process observability,
@@ -569,16 +579,11 @@ class SegmentCache:
     def base_segments(self, network: AsNetwork, entry: int,
                       target: int) -> List[list]:
         """Segments on the intact topology (warm SpfTable underneath)."""
-        key = (network.asn, entry, target)
-        segments = self._base.get(key)
-        if segments is None:
-            self.base_misses += 1
-            dag = network.spf.to_destination(target)
-            segments = dag.all_paths(entry, limit=self.SEGMENT_LIMIT)
-            self._base[key] = segments
-        else:
+        if (network.asn, entry, target) in self._base:
             self.base_hits += 1
-        return segments
+        else:
+            self.base_misses += 1
+        return self._intact(network, entry, target)
 
     def degraded_segments(self, network: AsNetwork, entry: int,
                           target: int, excluded: frozenset
@@ -589,21 +594,57 @@ class SegmentCache:
         disconnect the pair — a flap on the only path reconverges before
         traffic is affected at our observation timescale.  Entries are
         keyed by the exact excluded-link frozenset, so two eras whose
-        flap draws overlap on an AS hit the same entries.
+        flap draws overlap on an AS hit the same entries.  When no
+        excluded link is on the intact sub-DAG, the entry is the intact
+        segment list itself (see the class docstring).
         """
         key = (network.asn, entry, target, excluded)
         segments = self._degraded.get(key)
         if segments is None:
             self.degraded_misses += 1
-            dag = spf_to(network.topology, target,
-                         excluded_links=excluded)
-            segments = dag.all_paths(entry, limit=self.SEGMENT_LIMIT)
-            if not segments:
-                segments = self.base_segments(network, entry, target)
+            if excluded.isdisjoint(self._sub_dag_links(network, entry,
+                                                       target)):
+                segments = self._intact(network, entry, target)
+            else:
+                dag = spf_to(network.topology, target,
+                             excluded_links=excluded)
+                segments = dag.all_paths(entry, limit=self.SEGMENT_LIMIT)
+                if not segments:
+                    segments = self.base_segments(network, entry, target)
             self._degraded[key] = segments
         else:
             self.degraded_hits += 1
         return segments
+
+    def _intact(self, network: AsNetwork, entry: int,
+                target: int) -> List[list]:
+        """The intact-topology entry, computed on first use; no tallies."""
+        key = (network.asn, entry, target)
+        segments = self._base.get(key)
+        if segments is None:
+            dag = network.spf.to_destination(target)
+            segments = dag.all_paths(entry, limit=self.SEGMENT_LIMIT)
+            self._base[key] = segments
+        return segments
+
+    def _sub_dag_links(self, network: AsNetwork, entry: int,
+                       target: int) -> frozenset:
+        """Link ids on any intact shortest path from entry to target."""
+        key = (network.asn, entry, target)
+        links = self._dag_links.get(key)
+        if links is None:
+            successors = network.spf.to_destination(target).successors
+            found = set()
+            seen = {entry}
+            stack = [entry]
+            while stack:
+                for neighbor, link in successors.get(stack.pop(), ()):
+                    found.add(link.link_id)
+                    if neighbor not in seen:
+                        seen.add(neighbor)
+                        stack.append(neighbor)
+            links = self._dag_links[key] = frozenset(found)
+        return links
 
 
 class Internet:

@@ -27,7 +27,7 @@ from __future__ import annotations
 from itertools import chain
 from typing import List, Optional
 
-from ..igp.ecmp import flow_hash
+from ..igp.ecmp import flow_hash, flow_hash_extend
 from ..mpls.lse import LabelStack, LabelStackEntry
 from ..net.icmp import TimeExceeded, build_probe_quote
 from ..obs import emit, get_registry, span
@@ -60,6 +60,10 @@ class TracerouteEngine:
                  max_ttl: int = 30):
         if not 0.0 <= loss_rate < 1.0:
             raise ValueError(f"loss_rate out of [0,1): {loss_rate}")
+        if gap_limit < 1:
+            raise ValueError(f"gap_limit must be >= 1: {gap_limit}")
+        if max_ttl < 1:
+            raise ValueError(f"max_ttl must be >= 1: {max_ttl}")
         self.dataplane = dataplane
         self.seed = seed
         self.loss_rate = loss_rate
@@ -88,13 +92,21 @@ class TracerouteEngine:
         first_hop = HopObs(asn=monitor.asn,
                            router_id=monitor.attachment_router,
                            address=monitor.gateway_addr)
+        # Per-probe noise hashes (seed, src, dst, ttl) and
+        # (seed, 0x277, src, dst, ttl): fold the per-trace prefix once,
+        # leaving one mixing round per probe (DESIGN §8).
+        src_addr = monitor.src_addr
+        loss_prefix = flow_hash(self.seed, src_addr, dst_addr) \
+            if self.loss_rate > 0.0 else None
+        rtt_prefix = flow_hash(self.seed, 0x277, src_addr, dst_addr)
         hops: List[TraceHop] = []
         silent_streak = 0
         stop = StopReason.TTL_EXHAUSTED
         for ttl, obs in enumerate(chain((first_hop,), path), start=1):
             if ttl > self.max_ttl:
                 break
-            hop = self._reply_for(monitor, dst_addr, ttl, obs)
+            hop = self._reply_for(monitor, dst_addr, ttl, obs,
+                                  loss_prefix, rtt_prefix)
             hops.append(hop)
             if hop.is_anonymous:
                 silent_streak += 1
@@ -156,8 +168,19 @@ class TracerouteEngine:
     # -- internals -----------------------------------------------------------
 
     def _reply_for(self, monitor: Monitor, dst_addr: int, ttl: int,
-                   obs: HopObs) -> TraceHop:
-        if not obs.responsive or self._lost(monitor, dst_addr, ttl):
+                   obs: HopObs, loss_prefix: Optional[int],
+                   rtt_prefix: int) -> TraceHop:
+        """The probe's reply; the prefixes are :meth:`trace`'s folds.
+
+        The probe is lost when ``flow_hash(seed, src, dst, ttl) / 2**64
+        < loss_rate`` (never when ``loss_prefix`` is None, i.e. loss is
+        off); the RTT jitter is ``flow_hash(seed, 0x277, src, dst, ttl)
+        % 4000`` microseconds.
+        """
+        if not obs.responsive or (
+                loss_prefix is not None
+                and flow_hash_extend(loss_prefix, ttl) / _LOSS_SCALE
+                < self.loss_rate):
             return TraceHop(probe_ttl=ttl, address=None)
         stack = ()
         if obs.labels and obs.quotes_labels:
@@ -177,7 +200,8 @@ class TracerouteEngine:
         return TraceHop(
             probe_ttl=ttl,
             address=obs.address,
-            rtt_ms=self._rtt(monitor, dst_addr, ttl),
+            rtt_ms=1.0 + 1.8 * ttl
+            + flow_hash_extend(rtt_prefix, ttl) % 4000 / 1000.0,
             quoted_stack=stack,
             quoted_ttl=obs.quoted_ttl,
         )
@@ -206,14 +230,3 @@ class TracerouteEngine:
             stack=wire_stack,
         )
         return tuple(TimeExceeded.decode(message.encode()).stack)
-
-    def _lost(self, monitor: Monitor, dst_addr: int, ttl: int) -> bool:
-        if self.loss_rate <= 0.0:
-            return False
-        digest = flow_hash(self.seed, monitor.src_addr, dst_addr, ttl)
-        return digest / _LOSS_SCALE < self.loss_rate
-
-    def _rtt(self, monitor: Monitor, dst_addr: int, ttl: int) -> float:
-        jitter = flow_hash(self.seed, 0x277, monitor.src_addr,
-                           dst_addr, ttl) % 4000 / 1000.0
-        return 1.0 + 1.8 * ttl + jitter

@@ -1,18 +1,27 @@
 """Unit tests for universe construction (config, topology, addressing)."""
 
+from functools import lru_cache
+from types import SimpleNamespace
+
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.bgp.asgraph import Tier
+from repro.igp.spf import SpfTable, spf_to
+from repro.igp.topology import Topology
 from repro.net.ip import Prefix, int_to_ip, ip_to_int
 from repro.sim.config import AsSpec, MplsPolicy, UniverseSpec
 from repro.sim.dataplane import DataPlane
 from repro.sim.network import (
     Internet,
+    SegmentCache,
     destination_prefix,
     infra_block,
     loopback_address,
 )
 from repro.sim.scenarios import build_universe, paper_scenario
+
+from helpers import AddressPool, make_routers
 
 
 def tiny_universe():
@@ -302,3 +311,101 @@ class TestSegmentCacheCounters:
         hits_before = cache.base_hits
         second_era._segments(network, 0, 7)
         assert cache.base_hits == hits_before + 1
+
+
+WIDE_STAGES = 7
+
+
+@lru_cache(maxsize=None)
+def wide_network():
+    """``WIDE_STAGES`` stacked diamonds from router 0 to the last joint.
+
+    Joint ``3i`` reaches joint ``3i + 3`` through routers ``3i + 1`` and
+    ``3i + 2`` (the first one over two parallel links), so the entry has
+    3**WIDE_STAGES equal-cost paths — more than SEGMENT_LIMIT.  A costly
+    bypass link joins the ends (the path once every diamond is cut) and
+    a spur router hangs off the entry, off every shortest path.
+    """
+    topology = Topology(asn=64999)
+    last = 3 * WIDE_STAGES
+    make_routers(topology, last + 2)
+    pool = AddressPool()
+
+    def connect(left, right, cost=1):
+        topology.add_link(left, right, *pool.pair(), cost=cost)
+
+    for joint in range(0, last, 3):
+        for mid in (joint + 1, joint + 2):
+            connect(joint, mid)
+            connect(mid, joint + 3)
+        connect(joint, joint + 1)
+    connect(0, last, cost=2 * WIDE_STAGES + 1)
+    connect(0, last + 1)
+    # Duck-types the AsNetwork attributes SegmentCache reads.
+    return SimpleNamespace(asn=64999, topology=topology,
+                           spf=SpfTable(topology))
+
+
+@lru_cache(maxsize=None)
+def tiny_network():
+    return Internet(tiny_universe()).network(100)
+
+
+class TestDegradedSegmentReuse:
+    """Reusing the intact entry is exact: it equals the full recompute."""
+
+    @staticmethod
+    def recompute(network, entry, target, excluded):
+        limit = SegmentCache.SEGMENT_LIMIT
+        segments = spf_to(network.topology, target,
+                          excluded_links=excluded).all_paths(entry, limit)
+        return segments or network.spf.to_destination(target).all_paths(
+            entry, limit)
+
+    def test_wide_network_is_cut_at_the_segment_limit(self):
+        network = wide_network()
+        dag = network.spf.to_destination(3 * WIDE_STAGES)
+        assert dag.path_count(0) == 3 ** WIDE_STAGES
+        assert len(dag.all_paths(0, limit=10 ** 6)) \
+            > SegmentCache.SEGMENT_LIMIT
+
+    @given(st.data())
+    def test_wide_network_matches_full_recompute(self, data):
+        # The intact enumeration here is cut at SEGMENT_LIMIT, so the
+        # draws include links that lie on the sub-DAG but on none of
+        # the listed segments.
+        network = wide_network()
+        links = sorted(network.topology.links)
+        excluded = frozenset(data.draw(st.sets(st.sampled_from(links))))
+        target = 3 * WIDE_STAGES
+        assert SegmentCache().degraded_segments(
+            network, 0, target, excluded) \
+            == self.recompute(network, 0, target, excluded)
+
+    @given(st.data())
+    def test_as_network_matches_full_recompute(self, data):
+        network = tiny_network()
+        routers = sorted(network.topology.routers)
+        links = sorted(network.topology.links)
+        entry = data.draw(st.sampled_from(routers))
+        target = data.draw(st.sampled_from(routers))
+        excluded = frozenset(data.draw(st.sets(st.sampled_from(links))))
+        assert SegmentCache().degraded_segments(
+            network, entry, target, excluded) \
+            == self.recompute(network, entry, target, excluded)
+
+    def test_shortcut_miss_tallies_and_runs_no_spf(self, monkeypatch):
+        network = wide_network()
+        target = 3 * WIDE_STAGES
+        spur_link = max(network.topology.links)
+        cache = SegmentCache()
+
+        def no_spf(*args, **kwargs):
+            raise AssertionError("the shortcut must not run an SPF")
+
+        monkeypatch.setattr("repro.sim.network.spf_to", no_spf)
+        segments = cache.degraded_segments(network, 0, target,
+                                           frozenset({spur_link}))
+        assert cache.degraded_misses == 1
+        assert (cache.base_hits, cache.base_misses) == (0, 0)
+        assert segments is cache.base_segments(network, 0, target)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.igp.ecmp import flow_hash
 from repro.sim.dataplane import DataPlane
 from repro.sim.monitors import build_monitors, split_into_teams
 from repro.sim.traceroute import TracerouteEngine
@@ -156,3 +157,41 @@ class TestTraceroute:
         internet = build()
         with pytest.raises(ValueError):
             TracerouteEngine(DataPlane(internet), loss_rate=1.0)
+
+    @pytest.mark.parametrize("max_ttl", [0, -1])
+    def test_invalid_max_ttl(self, max_ttl):
+        internet = build()
+        with pytest.raises(ValueError):
+            TracerouteEngine(DataPlane(internet), max_ttl=max_ttl)
+
+    @pytest.mark.parametrize("gap_limit", [0, -1])
+    def test_invalid_gap_limit(self, gap_limit):
+        internet = build()
+        with pytest.raises(ValueError):
+            TracerouteEngine(DataPlane(internet), gap_limit=gap_limit)
+
+    def test_probe_noise_formula(self):
+        # Loss and RTT noise are per-probe hashes of (seed, src, dst,
+        # ttl); the engine folds the per-trace prefix once, and this
+        # pins the result to the unfolded formula.
+        internet = build(MplsPolicy(enabled=True, ldp=True),
+                         transit_routers=12)
+        seed, loss_rate = 5, 0.3
+        engine, monitor = engine_and_monitor(
+            internet, seed=seed, loss_rate=loss_rate, gap_limit=30)
+        dst = a_destination(internet)
+        trace = engine.trace(monitor, dst)
+        src = monitor.src_addr
+        path = DataPlane(internet).forward_path(
+            monitor.asn, monitor.attachment_router, src, dst)
+        responsive = [True] + [obs.responsive for obs in path]
+        assert len(trace.hops) == len(responsive) > 5
+        for hop, reachable in zip(trace.hops, responsive):
+            ttl = hop.probe_ttl
+            lost = flow_hash(seed, src, dst, ttl) / 2**64 < loss_rate
+            assert hop.is_anonymous == (not reachable or lost)
+            if not hop.is_anonymous:
+                assert hop.rtt_ms == 1.0 + 1.8 * ttl + flow_hash(
+                    seed, 0x277, src, dst, ttl) % 4000 / 1000.0
+        assert any(hop.is_anonymous for hop in trace.hops)
+        assert any(not hop.is_anonymous for hop in trace.hops)
