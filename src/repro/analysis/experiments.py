@@ -13,7 +13,7 @@ from typing import Callable, Dict, List, Optional, Union
 
 from ..core.pipeline import LprPipeline, persistence_sweep, run_study
 from ..obs import get_logger, span
-from ..par import StudySpec
+from ..par import DEFAULT_SNAPSHOT_STRIDE, StudySpec
 from ..sim.ark import ArkSimulator, daily_campaign, \
     label_dynamics_campaign
 from ..sim.config import MplsPolicy
@@ -75,12 +75,11 @@ def run_longitudinal_study(scale: float = 1.0, seed: int = 2015,
                            workers: int = 1,
                            checkpoint_dir=None,
                            state_dir=None,
-                           snapshot_stride: int = 8,
+                           snapshot_stride: int = DEFAULT_SNAPSHOT_STRIDE,
                            max_retries: int = 2,
                            backoff_base: float = 0.5,
                            progress: Optional[Callable] = None,
                            progress_clock=None,
-                           engine: str = "object",
                            resources: bool = False,
                            stall_timeout: Optional[float] = None,
                            stall_clock=None,
@@ -108,12 +107,10 @@ def run_longitudinal_study(scale: float = 1.0, seed: int = 2015,
     heartbeat-deadline watchdog) and ``health`` (the monitor a
     :class:`~repro.obs.live.TelemetryServer` shares) — all DESIGN §13,
     all observational.
-    ``engine`` picks the analysis backend (``object`` or ``columnar``,
-    DESIGN §12) — byte-identical either way.
     """
-    spec = StudySpec(scale=scale, seed=seed, cycles=cycles or CYCLES,
-                     snapshots_per_cycle=snapshots_per_cycle,
-                     engine=engine)
+    spec = StudySpec(scale=scale, seed=seed,
+                     cycles=CYCLES if cycles is None else cycles,
+                     snapshots_per_cycle=snapshots_per_cycle)
     _log.info("study.start", scale=scale, seed=seed, cycles=spec.cycles,
               workers=workers)
     with span("study.run", cycles=spec.cycles, workers=workers):

@@ -57,7 +57,7 @@ from .core import LprPipeline
 from .core.report import render_report
 from .core.revelation import TunnelVisibility, visibility_census
 from .net.ip2as import Ip2AsMapper
-from .par import StudySpec
+from .par import DEFAULT_SNAPSHOT_STRIDE, StudySpec
 from .obs import (
     EventBus,
     HealthMonitor,
@@ -148,12 +148,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "workers beyond the cycle count split "
                             "cycles into pair blocks (byte-identical "
                             "output either way; default serial)")
-    study.add_argument("--engine", default="object",
-                       choices=["object", "columnar"],
-                       help="analysis backend: the classic per-object "
-                            "pipeline or the columnar kernel engine "
-                            "(byte-identical results, columnar is "
-                            "faster; default object)")
     study.add_argument("--profile", action="store_true",
                        help="time every pipeline stage and print a "
                             "per-stage breakdown table")
@@ -170,11 +164,11 @@ def build_parser() -> argparse.ArgumentParser:
                             "tail instead of every earlier cycle "
                             "(byte-identical output; keyed by the "
                             "study spec's hash)")
-    study.add_argument("--snapshot-stride", type=int, default=8,
-                       metavar="N",
+    study.add_argument("--snapshot-stride", type=int,
+                       default=DEFAULT_SNAPSHOT_STRIDE, metavar="N",
                        help="cycles between state snapshots when "
-                            "--state-dir is set (default 8; smaller = "
-                            "shorter tail replay, more disk)")
+                            "--state-dir is set (default %(default)s; "
+                            "smaller = shorter tail replay, more disk)")
     study.add_argument("--max-retries", type=int, default=2,
                        metavar="N",
                        help="re-dispatch a crashed shard up to N times "
@@ -422,6 +416,10 @@ def cmd_study(args) -> int:
         # monotonic one (results stay deterministic — only the span
         # durations read the clock, never the pipeline).
         set_tracer(Tracer(MonotonicClock()))
+    if args.cycles < 1:
+        print(f"--cycles must be >= 1, got {args.cycles}",
+              file=sys.stderr)
+        return 2
     if args.workers < 1:
         print(f"--workers must be >= 1, got {args.workers}",
               file=sys.stderr)
@@ -484,7 +482,6 @@ def cmd_study(args) -> int:
             scale=args.scale, seed=args.seed,
             cycles=args.cycles,
             workers=args.workers,
-            engine=args.engine,
             checkpoint_dir=args.checkpoint_dir,
             state_dir=args.state_dir,
             snapshot_stride=args.snapshot_stride,

@@ -102,30 +102,20 @@ class CycleResult:
         return self.classification.for_as(asn)
 
 
-ENGINES = ("object", "columnar")
-"""Interchangeable analysis backends: the classic per-object pipeline
-and the columnar kernel engine (:mod:`repro.engine`, DESIGN §12).
-The differential matrix proves them byte-identical per run."""
-
-
 class LprPipeline:
     """The complete Label Pattern Recognition pipeline."""
 
     def __init__(self, ip2as: Ip2AsMapper, persistence_window: int = 2,
                  reinject_threshold: float = 0.10,
-                 php_heuristic: bool = False, engine: str = "object"):
+                 php_heuristic: bool = False):
         """``persistence_window`` is the paper's ``j`` (default 2)."""
         if persistence_window < 0:
             raise ValueError(f"negative persistence window: "
                              f"{persistence_window}")
-        if engine not in ENGINES:
-            raise ValueError(f"unknown engine {engine!r} "
-                             f"(expected one of {ENGINES})")
         self.ip2as = ip2as
         self.persistence_window = persistence_window
         self.reinject_threshold = reinject_threshold
         self.php_heuristic = php_heuristic
-        self.engine = engine
 
     def follow_up_signatures(
         self, snapshots: Sequence[Sequence[Trace]]
@@ -148,34 +138,20 @@ class LprPipeline:
         before = registry.snapshot()
         primary = snapshots[0]
         with span("pipeline.cycle", cycle=cycle):
-            if self.engine == "columnar":
-                # Imported lazily: the kernels build on this module's
-                # DatasetStats, and object-only runs never pay for it.
-                from ..engine.kernels import analyze_snapshots
-
-                stats, filter_stats, iotps, classification = \
-                    analyze_snapshots(
-                        cycle, snapshots, self.ip2as,
-                        persistence_window=self.persistence_window,
-                        reinject_threshold=self.reinject_threshold,
-                        php_heuristic=self.php_heuristic,
-                    )
-            else:
-                with span("pipeline.extract"):
-                    lsps = extract_all(primary)
-                with span("pipeline.follow_ups"):
-                    follow_ups = self.follow_up_signatures(snapshots)
-                with span("pipeline.filters"):
-                    iotps, filter_stats = run_filters(
-                        lsps, self.ip2as,
-                        follow_up_signatures=follow_ups,
-                        reinject_threshold=self.reinject_threshold,
-                    )
-                with span("pipeline.dataset_stats"):
-                    stats = dataset_stats(primary, self.ip2as)
-                with span("pipeline.classify"):
-                    classification = classify(iotps,
-                                              self.php_heuristic)
+            with span("pipeline.extract"):
+                lsps = extract_all(primary)
+            with span("pipeline.follow_ups"):
+                follow_ups = self.follow_up_signatures(snapshots)
+            with span("pipeline.filters"):
+                iotps, filter_stats = run_filters(
+                    lsps, self.ip2as,
+                    follow_up_signatures=follow_ups,
+                    reinject_threshold=self.reinject_threshold,
+                )
+            with span("pipeline.dataset_stats"):
+                stats = dataset_stats(primary, self.ip2as)
+            with span("pipeline.classify"):
+                classification = classify(iotps, self.php_heuristic)
         _CYCLES_PROCESSED.inc()
         _log.info("pipeline.cycle.done", cycle=cycle,
                   traces=stats.trace_count,

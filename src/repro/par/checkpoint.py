@@ -59,14 +59,14 @@ the stripped prefixes gained the engine/IP2AS-memo counters."""
 
 LAYOUT_DEPENDENT_PREFIXES = (
     "route_cache_", "hop_cache_", "quoted_stack_cache_",
-    "state_snapshot_", "engine_", "ip2as_lookup_cache_",
+    "state_snapshot_", "ip2as_lookup_cache_",
     "worker_", "par_shards_stalled")
 """Metric-name prefixes whose values depend on how the probe stream was
 split over caches — or, for ``state_snapshot_*``, on how warm the
 state store happened to be — stripped from persisted deltas.  The
-``engine_*`` and ``ip2as_lookup_cache_*`` families count *how* a cycle
-was computed (columnar encoding rows, kernel wall time, batched-lookup
-memo hits), which differs between byte-identical engines, so they are
+``ip2as_lookup_cache_*`` family counts *how* a cycle's origins were
+resolved (batched-lookup memo hits and misses, which depend on the
+memo's key granularity and on how lookups are batched), so it is
 execution detail under the same rule.  The live-telemetry families —
 ``worker_*`` resource gauges and the stall counter — are per-run
 operational state; they can only reach a delta window through a clock

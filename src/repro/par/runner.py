@@ -144,11 +144,17 @@ class StudySpec:
     the differential oracle (:mod:`repro.verify`) asserts by running
     the same campaign with and without them."""
     engine: str = "object"
-    """Analysis backend: ``"object"`` (the classic per-``Lsp``
-    pipeline) or ``"columnar"`` (the interned kernel engine of
-    :mod:`repro.engine`, DESIGN §12).  Like ``memoize``, flipping it
-    never changes results — the differential matrix's ``columnar``
-    configs assert exactly that."""
+    """The analysis backend; ``"object"`` is the only one (DESIGN §12).
+    The field stays for two reasons: callers that name the reference
+    configuration explicitly (``StudySpec(..., engine="object")``)
+    keep working, and :func:`~repro.par.checkpoint.spec_hash` hashes
+    every field, so dropping it would rename every existing checkpoint
+    and state directory.  Any other value raises ``ValueError``."""
+
+    def __post_init__(self) -> None:
+        if self.engine != "object":
+            raise ValueError(f"unknown engine {self.engine!r}: "
+                             f"'object' is the only analysis backend")
 
 
 def build_study(spec: StudySpec) -> Tuple[ArkSimulator, LprPipeline]:
@@ -163,7 +169,6 @@ def build_study(spec: StudySpec) -> Tuple[ArkSimulator, LprPipeline]:
         persistence_window=spec.persistence_window,
         reinject_threshold=spec.reinject_threshold,
         php_heuristic=spec.php_heuristic,
-        engine=spec.engine,
     )
     return simulator, pipeline
 
@@ -393,6 +398,8 @@ fast_forward` — never probing — so output stays byte-identical with or
     the runner beats it on every sign of life and freezes it healthy
     on return.
     """
+    if spec.cycles < 1:
+        raise ValueError(f"cycles must be >= 1: {spec.cycles}")
     if max_retries < 0:
         raise ValueError(f"negative max_retries: {max_retries}")
     if backoff_base < 0:

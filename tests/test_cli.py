@@ -331,3 +331,34 @@ class TestBackoffBaseFlag:
                          snapshots_per_cycle=2)
         with _pytest.raises(ValueError, match="backoff_base"):
             run_study(spec, backoff_base=-1.0)
+
+
+class TestCycleCountFlag:
+    @pytest.mark.parametrize("cycles", ["0", "-1"])
+    def test_nonpositive_rejected_before_any_work(self, cycles, capsys):
+        code = main(["study", "--cycles", cycles, "--scale", "0.1"])
+        assert code == 2
+        assert "--cycles" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cycles", [0, -1])
+    def test_library_does_not_read_zero_as_the_default(self, cycles):
+        from repro.analysis import run_longitudinal_study
+
+        # 0 used to mean "the full 60-cycle campaign".
+        with pytest.raises(ValueError, match="cycles"):
+            run_longitudinal_study(scale=0.1, cycles=cycles)
+
+    def test_run_study_guards_cycle_count(self):
+        from repro.par import StudySpec, run_study
+
+        spec = StudySpec(scale=0.1, seed=1, cycles=0)
+        with pytest.raises(ValueError, match="cycles"):
+            run_study(spec)
+
+
+class TestEngineFlagRemoved:
+    def test_engine_flag_is_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["study", "--engine", "object", "--cycles", "1"])
+        assert exit_info.value.code == 2
+        assert "--engine" in capsys.readouterr().err

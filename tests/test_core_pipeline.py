@@ -82,6 +82,42 @@ class TestDatasetStats:
         stats = dataset_stats([], mapper())
         assert stats.tunnel_trace_share == 0.0
 
+    def test_prefix_longer_than_24_is_honoured(self):
+        # A /32 inside the transit /16: 10.1.0.2 and 10.1.0.3 share a
+        # /24 but map to different origins.
+        table = mapper()
+        table.add(Prefix.parse("10.1.0.2/32"), AS_DST2)
+        stats = dataset_stats(snapshot(), table)
+        assert stats.mpls_by_as == {AS_DST2: 1, AS_T: 1}
+
+    @pytest.mark.parametrize("finer", [False, True])
+    def test_histograms_match_per_address_lookups(self, finer):
+        # Same counts *and* the same key order as one lookup_single
+        # per distinct address, walked in the address set's order —
+        # the order the histograms are pickled in, so checkpoint bytes
+        # depend on it.
+        table = mapper()
+        if finer:
+            table.add(Prefix.parse("10.1.0.3/32"), AS_DST)
+        traces = snapshot() + [mpls_trace("60.0.0.1", labels=(7,))]
+        mpls, every = set(), set()
+        for trace in traces:
+            for entry in trace.hops:
+                if entry.address is not None:
+                    every.add(entry.address)
+                    if entry.has_labels:
+                        mpls.add(entry.address)
+        expected = ({}, {})
+        for address in every:
+            counts = expected[0] if address in mpls else expected[1]
+            asn = table.lookup_single(address)
+            counts[asn] = counts.get(asn, 0) + 1
+        stats = dataset_stats(traces, table)
+        assert list(stats.mpls_by_as.items()) == \
+            list(expected[0].items())
+        assert list(stats.non_mpls_by_as.items()) == \
+            list(expected[1].items())
+
 
 class TestPipeline:
     def test_process_snapshots(self):

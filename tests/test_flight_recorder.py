@@ -285,27 +285,13 @@ class TestEventsFile:
         assert "stalls" not in decoded
 
     def test_report_cache_families_are_guarded(self, telemetry_run):
-        # An object-engine run has forwarding and ip2as-memo telemetry
-        # but no columnar counters: the absent family is omitted, not
-        # divided by zero.
+        # A study run has forwarding and ip2as-memo telemetry; the
+        # section lists exactly those two families.
         report = flight_report(telemetry_run["events_path"])
         assert "== forwarding-path caches ==" in report
         assert "ip2as memo" in report
-        assert "columnar engine" not in report
-
-    def test_report_includes_columnar_engine_counters(self, tmp_path):
-        from dataclasses import replace
-        events_path = tmp_path / "events.jsonl"
-        saved = get_event_bus()
-        bus = set_event_bus(EventBus(sink=events_path))
-        try:
-            run_study(replace(SPEC2, engine="columnar"), workers=1)
-        finally:
-            bus.close()
-            set_event_bus(saved)
-        report = flight_report(events_path)
-        assert "columnar engine" in report
-        assert "hops encoded" in report
+        data = flight_report_data(telemetry_run["events_path"])
+        assert set(data["caches"]) == {"forwarding", "ip2as_memo"}
 
     def test_serial_events_are_deterministic(self):
         def capture():

@@ -21,6 +21,7 @@ from repro.par import (
     build_study,
     plan_shards,
     shard_cycles,
+    spec_hash,
 )
 
 SPEC = StudySpec(scale=0.25, seed=7, cycles=4, snapshots_per_cycle=2)
@@ -327,6 +328,23 @@ class TestFastForward:
         before = _state_fingerprint(simulator.internet)
         simulator.fast_forward(1, 0)
         assert _state_fingerprint(simulator.internet) == before
+
+
+class TestStudySpec:
+    def test_object_is_the_only_engine(self):
+        assert StudySpec().engine == "object"
+        assert StudySpec(engine="object") == StudySpec()
+
+    @pytest.mark.parametrize("engine", ["vectorized", "Object", ""])
+    def test_other_engines_rejected(self, engine):
+        with pytest.raises(ValueError, match="engine"):
+            StudySpec(scale=0.1, seed=1, cycles=1, engine=engine)
+
+    def test_spec_hash_is_stable(self):
+        # The engine field stays so existing checkpoint and state
+        # directories keep their names.
+        assert spec_hash(StudySpec(scale=0.4, cycles=6)) == \
+            "72765c3fcc4f2eff"
 
 
 class TestCliWorkers:
