@@ -11,9 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Union
 
-from ..core.pipeline import LprPipeline, persistence_sweep, run_study
+from ..core.pipeline import LprPipeline, persistence_sweep
 from ..obs import get_logger, span
-from ..par import DEFAULT_SNAPSHOT_STRIDE, StudySpec
+from ..par import DEFAULT_SNAPSHOT_STRIDE, StudySpec, run_study
 from ..sim.ark import ArkSimulator, daily_campaign, \
     label_dynamics_campaign
 from ..sim.config import MplsPolicy

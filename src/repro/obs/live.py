@@ -77,7 +77,7 @@ class HealthMonitor:
 
     Healthy means: no shard currently flagged stalled, and — when built
     with a ``stall_timeout`` — the last beat is no older than that
-    (covers the serial loop, which has no per-shard watchdog).  A
+    (covers in-process runs, whose shards no watchdog can interrupt).  A
     finished study is permanently healthy.
     """
 

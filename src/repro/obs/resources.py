@@ -84,8 +84,9 @@ def absorb_resources(shard: Any, sample: Dict[str, Any],
                      registry: Optional[MetricsRegistry] = None) -> None:
     """Fold one process sample into the labelled worker gauges.
 
-    ``shard`` labels the source process: a shard id, ``0`` for the
-    serial loop, ``"parent"`` for the parent of a parallel run.
+    ``shard`` labels the source process: a pool worker's shard id, or
+    ``"parent"`` for the process that runs the study (and, with one
+    worker, its shards).
     """
     registry = registry or get_registry()
     shard = str(shard)

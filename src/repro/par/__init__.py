@@ -1,29 +1,30 @@
-"""Parallel study execution: deterministic cycle sharding.
+"""Study execution: one shard loop, in-process or over a process pool.
 
 The longitudinal campaign (60 monthly cycles, simulate -> extract ->
 filter -> classify each) is embarrassingly parallel *across* cycles as
-long as every worker sees the exact network state a serial run would
+long as every shard sees the exact network state a serial run would
 have at its cycles.  This package provides that:
 
 * :func:`shard_cycles` splits a cycle range into contiguous blocks, one
   per worker — contiguity minimises replay work; :func:`plan_shards`
   extends the split *inside* cycles when workers outnumber them
   (intra-cycle pair blocks, reassembled in pair order by the runner);
-* each worker deterministically reconstructs its block's starting state
-  with :meth:`~repro.sim.ark.ArkSimulator.fast_forward` (control-plane
-  replay: policies applied and timers ticked, no probes), then runs its
-  cycles locally;
-* :func:`run_study` collects the per-shard :class:`CycleResult` lists in
-  cycle order and merges each shard's metrics delta back into the parent
-  registry via :meth:`repro.obs.MetricsRegistry.absorb`.
+* :func:`run_study` runs every shard through one body, in this process
+  (``workers=1``, one shard per cycle) or in pool workers, each of
+  which reconstructs its block's starting state by control-plane
+  replay (:meth:`~repro.sim.ark.ArkSimulator.fast_forward`: policies
+  applied and timers ticked, no probes); results come back in cycle
+  order and pool deltas merge into the parent registry via
+  :meth:`repro.obs.MetricsRegistry.absorb`.
 
 The contract — asserted in ``tests/test_par.py`` — is that a run with
 ``workers=N`` produces **byte-identical** tables, figures,
-classifications and merged metrics to the serial run (DESIGN §6 and §8).
+classifications and merged metrics to the in-process run (DESIGN §6
+and §8).
 
-The runner is also **fault tolerant**: failed shards retry with
-exponential backoff (and optional subdivision), completed shards can be
-checkpointed to disk and replayed on restart
+Pool runs are **fault tolerant**: failed shards retry with exponential
+backoff (and optional subdivision).  Completed shards can be
+checkpointed to disk and restored on restart
 (:mod:`repro.par.checkpoint`), and :mod:`repro.par.faults` provides the
 test-only hooks that stage worker deaths so the recovery paths stay
 covered (``tests/test_par_faults.py``).

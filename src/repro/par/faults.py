@@ -86,7 +86,3 @@ class FaultPlan:
 
     def for_shard(self, shard) -> Optional[ShardFault]:
         return self.by_first_cycle.get(shard.first)
-
-    def for_cycle(self, cycle: int) -> Optional[ShardFault]:
-        """Serial runs treat every cycle as a one-cycle shard."""
-        return self.by_first_cycle.get(cycle)

@@ -1,56 +1,22 @@
-"""The process-pool study runner.
+"""The study runner: one shard loop behind two executors.
 
 A :class:`StudySpec` is the complete, picklable recipe for one
 longitudinal campaign; :func:`build_study` turns it into a fresh
-``(ArkSimulator, LprPipeline)`` pair.  Because every simulation object
-is a pure function of the spec's seed (DESIGN §6), a worker process that
-builds the same spec and fast-forwards to its shard's first cycle holds
-exactly the network state the serial run would have there — label
-allocators, TE sessions and all.
+``(ArkSimulator, LprPipeline)`` pair.  Every simulation object is a
+pure function of the spec's seed (DESIGN §6), so any process that
+builds the spec and replays the control plane to a cycle holds exactly
+the state a serial run holds there.
 
-:func:`run_study` is the single entry point: ``workers <= 1`` runs the
-familiar serial loop in-process; ``workers > 1`` fans the shards out
-over a process pool, collects the per-shard results in cycle order,
-absorbs each shard's metrics delta into the parent registry (tagged
-with per-shard accounting counters), and finally fast-forwards a parent
-simulator through the whole campaign so that post-study experiments
-(Figs 6, 16, 17 re-run cycles on top of the end state) see the identical
-state a serial run leaves behind.
-
-When ``workers`` exceeds the cycle count — including the degenerate but
-common 1-cycle study — :func:`~repro.par.shard.plan_shards` keeps
-sharding *inside* cycles: surplus workers each trace one contiguous
-**pair block** of a cycle's (monitor, destination) list over the same
-fast-forwarded state, the parent reassembles the blocks' traces in pair
-order into one :class:`~repro.sim.ark.CycleData` and runs the pipeline
-on it exactly as a serial cycle would, so results, metrics deltas and
-checkpoints stay byte-identical (DESIGN §8).
-
-The runner is **fault tolerant** (DESIGN §8):
-
-* a dead worker (``BrokenProcessPool``) or a per-shard exception marks
-  the shard failed, not the study; failed shards are re-dispatched with
-  exponential backoff up to ``max_retries`` times, optionally
-  subdivided — cycle ranges into halves, pair blocks into half-blocks —
-  to route around a poisonous unit of work;
-* with ``checkpoint_dir`` set, every completed shard (cycle ranges,
-  assembled cycles and raw pair blocks alike) is persisted and a
-  restarted study replays only the missing work
-  (:mod:`repro.par.checkpoint`);
-* both paths keep the headline guarantee: because each shard is a pure
-  function of ``(spec, cycle range, pair range)``, a retried,
-  subdivided or resumed run stays byte-identical to an uninterrupted
-  serial one.
-
-The runner is also the **flight recorder's** main instrument
-(DESIGN §9): it emits study/shard/cycle lifecycle events to the
-:mod:`repro.obs.events` bus, streams worker heartbeats (cycles done,
-pair blocks done, traces simulated) over a progress queue into a live
-:class:`~repro.obs.progress.ProgressTracker`, persists each cycle's
-metrics delta as a ``cycle.metrics`` event, and — when the caller
-profiles — grafts every worker's span tree under the study root so
-``--profile`` and ``--trace-out`` account for time spent *inside*
-workers.
+:func:`run_study` runs one sequence for every worker count (DESIGN §8):
+plan shards, restore finished ones from checkpoints, run the rest
+through an executor, checkpoint each result, and assemble the results
+in cycle order.  ``workers <= 1`` selects the *in-process* executor:
+one shard per cycle on the parent's own simulator.  More workers
+select the *pool* executor: shards over a process pool, with retries,
+subdivision and intra-cycle pair blocks.  Both run the same shard body
+(:func:`_run_body`), and every control-plane advance goes through one
+:class:`_Cursor`, which restores and writes state snapshots
+(DESIGN §10).  Output is byte-identical whatever the executor.
 """
 
 from __future__ import annotations
@@ -204,105 +170,156 @@ class StudyRun:
     pipeline: LprPipeline
     results: List[CycleResult]
     shards: List[ShardResult] = field(default_factory=list)
-    """Per-shard accounting of a parallel run (empty when serial):
-    cycle-range results and raw pair blocks, in (cycle, pair) order."""
+    """Per-shard accounting, executed and restored alike: cycle-range
+    results (one per cycle in-process) and raw pair blocks, in
+    (cycle, pair) order."""
 
 
-def _beat(beats, shard: Shard, **fields: Any) -> None:
-    """Push one heartbeat; a dying progress channel never fails work."""
-    if beats is None:
-        return
-    try:
-        beats.put({"shard": shard.shard_id, **fields})
-    except Exception:
-        pass
+class _Cursor:
+    """A simulator plus the last cycle whose control-plane evolution it
+    holds — the one place that replays, restores and snapshots state.
+
+    With a :class:`StateStore`, a multiple of ``stride`` that has no
+    snapshot file is *missing*.  :meth:`advance` restores the newest
+    usable snapshot that does not skip a missing one, and replay and
+    probing alike write missing snapshots as the cursor passes them.
+    Probing never mutates the control plane (DESIGN §6), so a restored
+    and a replayed simulator hold the same state.
+    """
+
+    def __init__(self, simulator: ArkSimulator,
+                 store: Optional[StateStore] = None,
+                 stride: int = DEFAULT_SNAPSHOT_STRIDE):
+        self.simulator = simulator
+        self.store = store
+        self.stride = stride
+        self.position = 0
+
+    def advance(self, target: int) -> int:
+        """Move to the end state of cycle ``target`` without probing;
+        returns the number of cycles replayed."""
+        if target <= self.position:
+            return 0
+        if self.store is not None:
+            stride_cycle = (self.position // self.stride + 1) * self.stride
+            horizon = next((cycle for cycle in range(stride_cycle,
+                                                     target + 1,
+                                                     self.stride)
+                            if not self.store.has(cycle)), target)
+            found = self.store.load_nearest(horizon, after=self.position)
+            if found is not None:
+                self.position, state = found
+                self.simulator.internet.restore_state(state)
+        replayed = target - self.position
+        for cycle in range(self.position + 1, target + 1):
+            self.simulator.fast_forward(cycle, cycle)
+            self.probed(cycle)
+        return replayed
+
+    def probed(self, cycle: int) -> None:
+        """The simulator now holds ``cycle``'s end state."""
+        self.position = cycle
+        if (self.store is not None and cycle % self.stride == 0
+                and not self.store.has(cycle)):
+            self.store.save(cycle, self.simulator.internet.capture_state())
+
+
+def _run_body(shard: Shard, cursor: _Cursor, pipeline: LprPipeline,
+              attempt: int, fault: Optional[ShardFault],
+              beat: Callable[..., None]) -> ShardResult:
+    """One shard's work on ``cursor``'s simulator, plus its registry
+    delta — what both executors run.
+
+    The cursor first advances to ``first - 1``; if that moved it, one
+    beat says the shard is alive after a possibly long replay.  Then
+    each cycle of the range, or the one pair block, is probed and
+    beaten.  Cycle ranges come back pipelined; a pair block comes back
+    as raw snapshots for the parent to reassemble
+    (:func:`_assemble_cycle`).
+    """
+    registry = get_registry()
+    before = registry.snapshot()
+    sim_traces = registry.counter("sim_traces_total")
+    traces_start = sim_traces.value()
+    start = cursor.position
+    replayed = cursor.advance(shard.first - 1)
+    if cursor.position != start:
+        beat()
+    results: List[CycleResult] = []
+    data: Optional[CycleData] = None
+    for index, cycle in enumerate(shard.cycles):
+        if fault is not None:
+            fault.maybe_fire(attempt, index)
+        data = cursor.simulator.run_cycle(cycle, pair_block=shard.block)
+        cursor.probed(cycle)
+        if shard.block is None:
+            results.append(pipeline.process_cycle(data))
+            done = {"cycles_done": index + 1}
+        else:
+            done = {"blocks_done": 1}
+        beat(traces=sim_traces.value() - traces_start, **done)
+    blocked = shard.block is not None
+    return ShardResult(
+        shard_id=shard.shard_id,
+        results=results,
+        metrics_delta=registry.diff(before, registry.snapshot()),
+        replayed_cycles=replayed,
+        block=(shard.first,) + shard.block if blocked else None,
+        snapshots=data.snapshots if blocked else None,
+    )
+
+
+def _beater(sink: Optional[Callable[[Dict[str, Any]], None]],
+            shard_id: int, resources: bool) -> Callable[..., None]:
+    """The heartbeat callable handed to a shard body: each beat names
+    its shard and, with ``resources``, carries an RSS/CPU/GC sample of
+    the process that beats.  No sink, no beats."""
+    if sink is None:
+        return lambda **fields: None
+
+    def beat(**fields: Any) -> None:
+        if resources:
+            fields["resources"] = sample_resources()
+        sink({"shard": shard_id, **fields})
+    return beat
 
 
 def _run_shard(
     args: Tuple[StudySpec, Shard, int, Optional[ShardFault], bool, Any,
-                Any, bool]
+                Any, int, bool]
 ) -> ShardResult:
-    """Worker entry: reconstruct state, run the shard's work locally.
-
-    The worker installs a *fresh* event bus (a forked sink file
-    descriptor must never be written from two processes) and a fresh
-    tracer — monotonic when the parent profiles, so the returned
-    ``par.worker`` span tree carries real durations the parent grafts
-    into its own trace.  ``beats`` (a manager queue or None) receives
-    a liveness heartbeat on entry and after the prefix replay — what
-    arms the stall watchdog's deadline — then one per finished cycle /
-    pair block.  With ``resources`` set each heartbeat also carries a
-    :func:`~repro.obs.resources.sample_resources` sample of *this*
-    worker process; the parent folds it into its own registry, so the
-    shard's ``metrics_delta`` stays free of resource gauges.
-
-    With ``state_dir`` set the worker warm-starts: it restores the
-    newest usable snapshot at or before ``first - 1`` from the shared
-    :class:`StateStore` and replays only the tail, instead of the whole
-    ``1..first-1`` prefix.  Probing never mutates the control plane
-    (DESIGN §6), so the resulting state — and hence the shard's output
-    — is byte-identical either way; ``replayed_cycles`` records what
-    was actually replayed.
+    """Pool worker entry: a fresh event bus (a forked sink must never
+    be written from two processes) and tracer, a liveness beat, then
+    :func:`build_study` and the shard body inside a ``par.worker``
+    span.  The tracer is monotonic when the parent profiles, and its
+    roots travel back for grafting; ``beats`` is the manager queue
+    feeding the parent's telemetry, or None.
     """
-    (spec, shard, attempt, fault, profile, beats, state_dir,
+    (spec, shard, attempt, fault, profile, beats, state_dir, stride,
      resources) = args
     set_event_bus(EventBus())
     tracer = set_tracer(Tracer(MonotonicClock() if profile
                                else NullClock()))
 
-    def _res() -> Dict[str, Any]:
-        return ({"resources": sample_resources()} if resources else {})
+    def put(beat: Dict[str, Any]) -> None:
+        try:
+            beats.put(beat)
+        except Exception:
+            pass  # a dying progress channel never fails work
 
-    _beat(beats, shard, **_res())
+    beat = _beater(put if beats is not None else None, shard.shard_id,
+                   resources)
+    beat()
     simulator, pipeline = build_study(spec)
-    registry = get_registry()
-    before = registry.snapshot()
-    sim_traces = registry.counter("sim_traces_total")
-    traces_start = sim_traces.value()
+    store = StateStore(state_dir, spec) if state_dir is not None else None
     block_attrs = ({"block": f"{shard.block[0]}/{shard.block[1]}"}
                    if shard.block is not None else {})
-    results: List[CycleResult] = []
-    snapshots: Optional[List[list]] = None
-    replay_from = 1
     with tracer.span("par.worker", first=shard.first, last=shard.last,
                      **block_attrs):
-        if state_dir is not None and shard.first > 1:
-            found = StateStore(state_dir, spec).load_nearest(
-                shard.first - 1)
-            if found is not None:
-                snapshot_cycle, state = found
-                simulator.internet.restore_state(state)
-                replay_from = snapshot_cycle + 1
-        simulator.fast_forward(replay_from, shard.first - 1)
-        if shard.first > 1:
-            _beat(beats, shard, **_res())  # prefix replayed, alive
-        if shard.block is not None:
-            if fault is not None:
-                fault.maybe_fire(attempt, 0)
-            data = simulator.run_cycle(shard.first,
-                                       pair_block=shard.block)
-            snapshots = data.snapshots
-            _beat(beats, shard, blocks_done=1,
-                  traces=sim_traces.value() - traces_start, **_res())
-        else:
-            for index, cycle in enumerate(shard.cycles):
-                if fault is not None:
-                    fault.maybe_fire(attempt, index)
-                results.append(
-                    pipeline.process_cycle(simulator.run_cycle(cycle)))
-                _beat(beats, shard, cycles_done=index + 1,
-                      traces=sim_traces.value() - traces_start,
-                      **_res())
-    return ShardResult(
-        shard_id=shard.shard_id,
-        results=results,
-        metrics_delta=registry.diff(before, registry.snapshot()),
-        replayed_cycles=shard.first - replay_from,
-        block=((shard.first,) + shard.block
-               if shard.block is not None else None),
-        snapshots=snapshots,
-        spans=tracer.roots if profile else None,
-    )
+        result = _run_body(shard, _Cursor(simulator, store, stride),
+                           pipeline, attempt, fault, beat)
+    result.spans = tracer.roots if profile else None
+    return result
 
 
 def _pool_context():
@@ -313,6 +330,207 @@ def _pool_context():
     methods = multiprocessing.get_all_start_methods()
     return multiprocessing.get_context(
         "fork" if "fork" in methods else "spawn")
+
+
+class _Telemetry:
+    """The parent's live view of a run: progress tracker, stall
+    watchdog and health monitor, each off unless asked for
+    (DESIGN §13).  ``live`` says whether anything consumes beats."""
+
+    def __init__(self, spec: StudySpec,
+                 progress: Optional[Callable[[ProgressTracker], None]],
+                 progress_clock: Optional[Clock],
+                 stall_timeout: Optional[float],
+                 stall_clock: Optional[Clock],
+                 health: Optional[HealthMonitor], resources: bool):
+        self.progress = progress
+        self.tracker = (ProgressTracker(spec.cycles,
+                                        clock=progress_clock
+                                        or MonotonicClock())
+                        if progress is not None else None)
+        self.watchdog = (StallWatchdog(stall_timeout, clock=stall_clock)
+                         if stall_timeout is not None else None)
+        self.health = health
+        self.live = (progress is not None or resources
+                     or stall_timeout is not None or health is not None)
+
+    def register(self, shard: Shard, done: bool = False) -> None:
+        if self.tracker is not None:
+            work = (1.0 / shard.block[1] if shard.block is not None
+                    else float(len(shard)))
+            self.tracker.add_shard(shard.shard_id, work,
+                                   is_block=shard.block is not None,
+                                   done=done)
+
+    def dispatched(self, shard: Shard, attempt: int) -> None:
+        if self.watchdog is not None:
+            self.watchdog.watch(shard.shard_id)
+        emit("shard.dispatch", shard=shard.shard_id, first=shard.first,
+             last=shard.last, attempt=attempt + 1,
+             **({"block": list(shard.block)}
+                if shard.block is not None else {}))
+
+    def beat(self, beat: Dict[str, Any]) -> None:
+        sample = beat.pop("resources", None)
+        shard_id = beat.get("shard", -1)
+        if self.tracker is not None:
+            self.tracker.heartbeat(shard_id,
+                                   cycles_done=beat.get("cycles_done", 0),
+                                   blocks_done=beat.get("blocks_done", 0),
+                                   traces=beat.get("traces", 0))
+        emit("shard.heartbeat", **beat)
+        if sample is not None:
+            record_resources(shard_id, sample)
+        if self.watchdog is not None and self.watchdog.beat(shard_id):
+            self._recovered(shard_id)
+        if self.health is not None:
+            self.health.beat()
+        self._notify()
+
+    def tick(self) -> None:
+        """Dispatch-loop pulse: flag shards newly past the deadline."""
+        if self.watchdog is None:
+            return
+        for shard_id in self.watchdog.check():
+            _SHARDS_STALLED.inc(shard=shard_id)
+            _log.warning("par.shard.stalled", shard=shard_id,
+                         timeout=self.watchdog.timeout)
+            emit("shard.stalled", shard=shard_id,
+                 timeout=self.watchdog.timeout)
+            if self.health is not None:
+                self.health.stall(shard_id)
+
+    def settle(self, shard_id: int) -> None:
+        """A shard finished or failed: stop watching it."""
+        if self.watchdog is not None and self.watchdog.clear(shard_id):
+            self._recovered(shard_id)
+
+    def done(self, shard_id: int) -> None:
+        if self.tracker is not None:
+            self.tracker.shard_done(shard_id)
+
+    def abandon(self, shard_id: int) -> None:
+        if self.tracker is not None:
+            self.tracker.abandon_shard(shard_id)
+
+    def finish(self) -> None:
+        self._notify()
+        if self.health is not None:
+            self.health.finish()
+
+    def _recovered(self, shard_id: int) -> None:
+        emit("shard.recovered", shard=shard_id)
+        if self.health is not None:
+            self.health.clear(shard_id)
+
+    def _notify(self) -> None:
+        if self.tracker is not None:
+            self.progress(self.tracker)
+
+
+_Collect = Callable[[ShardResult], None]
+_Failures = List[Tuple[Shard, BaseException]]
+
+
+class _InProcess:
+    """The one-worker executor: shards run in order on the parent's
+    cursor, beats reach the parent's telemetry directly, and an
+    exception propagates — there is no retry.  Resource samples are
+    the parent's own, taken between shards so no delta sees them."""
+
+    def __init__(self, cursor: _Cursor, pipeline: LprPipeline,
+                 fault_plan: Optional[FaultPlan],
+                 telemetry: _Telemetry, resources: bool):
+        self.cursor = cursor
+        self.pipeline = pipeline
+        self.fault_plan = fault_plan
+        self.telemetry = telemetry
+        self.resources = resources
+
+    def run(self, shards: List[Shard], attempts: Dict[Shard, int],
+            collect: _Collect) -> _Failures:
+        telemetry = self.telemetry
+        for shard in shards:
+            telemetry.dispatched(shard, attempts[shard])
+            beat = _beater(telemetry.beat if telemetry.live else None,
+                           shard.shard_id, False)
+            result = _run_body(shard, self.cursor, self.pipeline,
+                               attempts[shard],
+                               _fault(self.fault_plan, shard), beat)
+            telemetry.settle(shard.shard_id)
+            collect(result)
+            if self.resources:
+                record_resources("parent", sample_resources())
+        return []
+
+
+class _Pool:
+    """The process-pool executor: one fresh pool per round (a broken
+    pool is unusable), and a shard whose worker died or raised comes
+    back as a failure for the caller to retry.
+
+    With a heartbeat queue the completion wait runs on a short timeout,
+    so beats drain and the watchdog ticks while shards are in flight.
+    """
+
+    def __init__(self, spec: StudySpec, workers: int,
+                 fault_plan: Optional[FaultPlan],
+                 telemetry: _Telemetry, beats, state_dir, stride: int,
+                 resources: bool):
+        self.spec = spec
+        self.workers = workers
+        self.fault_plan = fault_plan
+        self.telemetry = telemetry
+        self.beats = beats
+        self.state_dir = state_dir
+        self.stride = stride
+        self.resources = resources
+        # Workers inherit profiling from the parent's tracer clock: a
+        # real clock means span durations are wanted.
+        self.profile = not isinstance(get_tracer().clock, NullClock)
+
+    def run(self, shards: List[Shard], attempts: Dict[Shard, int],
+            collect: _Collect) -> _Failures:
+        telemetry = self.telemetry
+        failed: _Failures = []
+        with ProcessPoolExecutor(max_workers=min(self.workers,
+                                                 len(shards)),
+                                 mp_context=_pool_context()) as pool:
+            futures = {
+                pool.submit(
+                    _run_shard,
+                    (self.spec, shard, attempts[shard],
+                     _fault(self.fault_plan, shard), self.profile,
+                     self.beats, self.state_dir, self.stride,
+                     self.resources),
+                ): shard
+                for shard in shards
+            }
+            for shard in shards:
+                telemetry.dispatched(shard, attempts[shard])
+            pending = set(futures)
+            while pending:
+                done, pending = wait(
+                    pending,
+                    timeout=0.2 if self.beats is not None else None,
+                    return_when=FIRST_COMPLETED)
+                _drain(self.beats, telemetry.beat)
+                telemetry.tick()
+                for future in done:
+                    shard = futures[future]
+                    try:
+                        result = future.result()
+                    except Exception as error:  # incl. BrokenProcessPool
+                        failed.append((shard, error))
+                    else:
+                        collect(result)
+                    telemetry.settle(shard.shard_id)
+            _drain(self.beats, telemetry.beat)
+        return failed
+
+
+def _fault(plan: Optional[FaultPlan], shard: Shard) -> Optional[ShardFault]:
+    return plan.for_shard(shard) if plan is not None else None
 
 
 def run_study(spec: StudySpec, workers: int = 1, *,
@@ -331,72 +549,32 @@ def run_study(spec: StudySpec, workers: int = 1, *,
               stall_timeout: Optional[float] = None,
               stall_clock: Optional[Clock] = None,
               health: Optional[HealthMonitor] = None) -> StudyRun:
-    """Execute a campaign, sharded over ``workers`` processes.
+    """Execute a campaign; results come back in cycle order and
+    byte-identical whatever ``workers`` is (DESIGN §8).
 
-    Results come back ordered by cycle whatever the pool's scheduling,
-    and each shard's metrics delta is absorbed into this process's
-    registry, so counters reconcile exactly with a serial run.  With
-    more workers than cycles the surplus splits cycles into pair blocks
-    (:func:`~repro.par.shard.plan_shards`), so even a 1-cycle study
-    scales out — still byte-identical.
-
-    Failure handling: a shard whose worker dies or raises is
-    re-dispatched up to ``max_retries`` times, sleeping
-    ``backoff_base * 2^round`` seconds between rounds (``sleep`` is
-    injectable for tests); on retry, when ``subdivide`` is set,
-    multi-cycle shards split into halves and pair blocks into
-    half-blocks, so a single bad allocation or kill costs only part of
-    the work.  When every retry is exhausted the study aborts with
+    ``workers <= 1`` runs one shard per cycle in this process; an
+    exception propagates.  More workers fan shards out over a process
+    pool, splitting cycles into pair blocks once workers outnumber
+    them.  A pool shard whose worker dies or raises is re-dispatched
+    up to ``max_retries`` times, ``backoff_base * 2^round`` seconds
+    apart (``sleep`` is injectable), and split in halves first when
+    ``subdivide`` is set; then the study aborts with
     :class:`StudyFailure`.
 
-    With ``checkpoint_dir`` set, finished shards (or, serially, single
-    cycles) are persisted through a :class:`CheckpointStore` and a
-    restarted run replays only the missing work — byte-identical output
-    either way.  Reassembled cycles are checkpointed under the same key
-    a serial run uses, so serial checkpoints seed parallel resumes and
-    vice versa.  ``fault_plan`` is the test-only injection hook
-    (:mod:`repro.par.faults`); production runs leave it None.
+    ``checkpoint_dir`` persists every finished shard, and a later run
+    restores it instead of re-running it (:mod:`repro.par.checkpoint`).
+    ``state_dir`` shares control-plane snapshots every
+    ``snapshot_stride`` cycles (:mod:`repro.par.statestore`); a pool
+    run seeds them before dispatch.  ``fault_plan`` is the test-only
+    failure hook (:mod:`repro.par.faults`).
 
-    With ``state_dir`` set, control-plane snapshots are shared through
-    a :class:`StateStore` every ``snapshot_stride`` cycles
-    (:mod:`repro.par.statestore`): the parent seeds the store while
-    advancing its own end-state simulator *before* dispatching, each
-    worker warm-starts from the nearest snapshot ≤ its shard's first
-    cycle instead of replaying the whole prefix, and the serial loop
-    writes snapshots as it runs so an interrupted study resumes warm.
-    Snapshots only shortcut :meth:`~repro.sim.ark.ArkSimulator.\
-fast_forward` — never probing — so output stays byte-identical with or
-    without them.
-
-    Telemetry (DESIGN §9): lifecycle events (``study.start``,
-    ``shard.dispatch``/``done``/``retry``/``restored``,
-    ``cycle.metrics`` with each cycle's registry delta, ``study.done``)
-    go to the current :mod:`repro.obs.events` bus.  ``progress`` is an
-    optional callback invoked with a live
+    The rest only observes (DESIGN §9, §13): lifecycle events go to
+    the current event bus; ``progress`` gets a live
     :class:`~repro.obs.progress.ProgressTracker` on every heartbeat and
-    shard completion — passing it opens a worker→parent progress queue
-    and (unless ``progress_clock`` injects a fake) reads the wall clock
-    for ETA, an explicit observability opt-in.  When the caller's
-    global tracer has a real clock (``--profile``/``--trace-out``),
-    workers time their own spans and the parent grafts each shard's
-    tree under the study span, tagged ``shard=<id>``.
-
-    The live telemetry plane (DESIGN §13) adds three more opt-ins, all
-    default-off so the determinism contract stands.  ``resources=True``
-    attaches an RSS/CPU/GC sample to every heartbeat (workers, the
-    serial loop and the parent alike), folded into ``worker_*`` gauges
-    in *this* process's registry and emitted as ``worker.resources``
-    events — never into results, per-cycle deltas or checkpoints.
-    ``stall_timeout`` arms a heartbeat-deadline
-    :class:`~repro.obs.watchdog.StallWatchdog` (``stall_clock``
-    injectable for tests): a shard silent past the deadline gets a
-    ``shard.stalled`` event, a ``par_shards_stalled_total`` bump and —
-    via ``health`` — flips ``/healthz``; a later beat or completion
-    emits ``shard.recovered``.  ``health`` is the
-    :class:`~repro.obs.live.HealthMonitor` a
-    :class:`~repro.obs.live.TelemetryServer` shares with this run;
-    the runner beats it on every sign of life and freezes it healthy
-    on return.
+    once at the end (``progress_clock`` replaces its wall clock);
+    ``resources`` adds an RSS/CPU/GC sample to every heartbeat;
+    ``stall_timeout`` arms a heartbeat watchdog (``stall_clock`` for
+    tests); ``health`` is the monitor a telemetry server shares.
     """
     if spec.cycles < 1:
         raise ValueError(f"cycles must be >= 1: {spec.cycles}")
@@ -413,207 +591,82 @@ fast_forward` — never probing — so output stays byte-identical with or
              if checkpoint_dir is not None else None)
     state_store = (StateStore(state_dir, spec)
                    if state_dir is not None else None)
+    telemetry = _Telemetry(spec, progress, progress_clock, stall_timeout,
+                           stall_clock, health, resources)
+    in_process = workers <= 1
+    shards = plan_shards(1, spec.cycles,
+                         spec.cycles if in_process else workers)
     emit("study.start", cycles=spec.cycles, workers=workers)
-    if workers <= 1:
-        run = _run_serial(spec, store, fault_plan, progress=progress,
-                          progress_clock=progress_clock,
-                          state_store=state_store,
-                          snapshot_stride=snapshot_stride,
-                          resources=resources, health=health)
-        if health is not None:
-            health.finish()
-        emit("study.done", cycles=len(run.results), shards=0)
-        return run
-
-    # Workers inherit profiling from the parent's tracer clock: a real
-    # clock means span durations are wanted, so shards time themselves
-    # and return their trees for grafting.
-    profile = not isinstance(get_tracer().clock, NullClock)
-    shards = plan_shards(1, spec.cycles, workers)
     emit("study.plan", shards=len(shards), workers=workers)
-    tracker: Optional[ProgressTracker] = None
-    manager = None
-    beats = None
-    # Heartbeats carry progress, resource samples and watchdog
-    # liveness alike: open the worker→parent queue when any consumer
-    # exists.
-    telemetry = (progress is not None or resources
-                 or stall_timeout is not None)
-    if progress is not None:
-        tracker = ProgressTracker(spec.cycles,
-                                  clock=progress_clock
-                                  or MonotonicClock())
-    if telemetry:
-        manager = _pool_context().Manager()
-        beats = manager.Queue()
-    watchdog = (StallWatchdog(stall_timeout, clock=stall_clock)
-                if stall_timeout is not None else None)
-
-    def _notify() -> None:
-        if progress is not None and tracker is not None:
-            progress(tracker)
-
-    def _register(shard: Shard, done: bool = False) -> None:
-        if tracker is None:
-            return
-        work = (1.0 / shard.block[1] if shard.block is not None
-                else float(len(shard)))
-        tracker.add_shard(shard.shard_id, work,
-                          is_block=shard.block is not None, done=done)
-
-    def _on_beat(beat: Dict[str, Any]) -> None:
-        sample = beat.pop("resources", None)
-        shard_id = beat.get("shard", -1)
-        if tracker is not None:
-            tracker.heartbeat(shard_id,
-                              cycles_done=beat.get("cycles_done", 0),
-                              blocks_done=beat.get("blocks_done", 0),
-                              traces=beat.get("traces", 0))
-        emit("shard.heartbeat", **beat)
-        if sample is not None:
-            record_resources(shard_id, sample)
-        if watchdog is not None and watchdog.beat(shard_id):
-            emit("shard.recovered", shard=shard_id)
-            if health is not None:
-                health.clear(shard_id)
-        if health is not None:
-            health.beat()
-        _notify()
-
-    def _on_tick() -> None:
-        """Dispatch-loop pulse: flag shards newly past the deadline."""
-        if watchdog is None:
-            return
-        for shard_id in watchdog.check():
-            _SHARDS_STALLED.inc(shard=shard_id)
-            _log.warning("par.shard.stalled", shard=shard_id,
-                         timeout=stall_timeout)
-            emit("shard.stalled", shard=shard_id,
-                 timeout=stall_timeout)
-            if health is not None:
-                health.stall(shard_id)
-
-    def _on_settle(shard_id: int) -> None:
-        """A shard's future resolved (result or error): unflag it."""
-        if watchdog is not None and watchdog.clear(shard_id):
-            emit("shard.recovered", shard=shard_id)
-            if health is not None:
-                health.clear(shard_id)
-
     _log.info("par.study.start", cycles=spec.cycles, workers=workers,
               shards=len(shards))
+    registry = get_registry()
+    manager = None
     try:
         with span("par.study", cycles=spec.cycles, shards=len(shards)):
-            # The parent simulator never probes, but its end state
-            # backs post-study experiments — and, with a state store,
-            # its one replay pass seeds the snapshots every worker
-            # warm-starts from, so it runs *before* dispatch.  Without
-            # a store the replay is deferred until after collection
-            # (nothing to share).
             simulator, pipeline = build_study(spec)
-            if state_store is not None:
-                with span("par.state_seed", cycles=spec.cycles,
-                          stride=snapshot_stride):
-                    _seed_state_store(simulator, state_store,
-                                      spec.cycles, snapshot_stride)
-            # completed: full cycle-range ShardResults (executed or
-            # restored at cycle granularity); blocks: raw pair blocks
-            # per cycle.
-            completed: List[ShardResult] = []
+            cursor = _Cursor(simulator, state_store, snapshot_stride)
+            if in_process:
+                executor = _InProcess(cursor, pipeline, fault_plan,
+                                      telemetry, resources)
+            else:
+                if telemetry.live:
+                    manager = _pool_context().Manager()
+                executor = _Pool(spec, workers, fault_plan, telemetry,
+                                 manager.Queue() if manager else None,
+                                 state_dir, snapshot_stride, resources)
+                if state_store is not None:
+                    # One replay pass leaves the parent at the end
+                    # state and seeds the snapshots workers start from.
+                    with span("par.state_seed", cycles=spec.cycles,
+                              stride=snapshot_stride):
+                        cursor.advance(spec.cycles)
+            # Cycle-range results, executed or restored, and raw pair
+            # blocks per cycle.
+            whole: List[ShardResult] = []
             blocks: Dict[int, List[ShardResult]] = {}
-            pending: List[Shard] = []
-            attempts: Dict[Shard, int] = {}
-            next_id = len(shards)
-            cycle_restored: set = set()
-            for shard in shards:
-                if shard.block is None:
-                    cached = (store.load(shard.first, shard.last)
-                              if store is not None else None)
-                    if cached is not None:
-                        completed.append(cached)
-                        _register(shard, done=True)
-                        emit("shard.restored", shard=shard.shard_id,
-                             first=shard.first, last=shard.last)
-                    else:
-                        pending.append(shard)
-                        attempts[shard] = 0
-                        _register(shard)
-                    continue
-                # Intra-cycle shard: prefer a whole-cycle checkpoint
-                # (same key a serial run writes), then this block's own
-                # file.
-                cycle = shard.first
-                if cycle in cycle_restored:
-                    _register(shard, done=True)
-                    continue
-                if store is not None and shard.block[0] == 0:
-                    cached = store.load(cycle, cycle)
-                    if cached is not None:
-                        completed.append(cached)
-                        cycle_restored.add(cycle)
-                        _register(shard, done=True)
-                        emit("shard.restored", shard=shard.shard_id,
-                             first=cycle, last=cycle)
-                        continue
-                cached = (store.load(cycle, cycle, shard.block)
-                          if store is not None else None)
-                if cached is not None:
-                    blocks.setdefault(cycle, []).append(cached)
-                    _register(shard, done=True)
-                    emit("shard.restored", shard=shard.shard_id,
-                         first=cycle, last=cycle,
-                         block=list(shard.block))
-                else:
-                    pending.append(shard)
-                    attempts[shard] = 0
-                    _register(shard)
-            _notify()
+            pending = _restore(shards, store, telemetry, whole, blocks,
+                               registry)
+            attempts: Dict[Shard, int] = {shard: 0 for shard in pending}
 
+            def collect(result: ShardResult) -> None:
+                _SHARDS_RUN.inc()
+                if result.block is not None:
+                    _PAIR_BLOCKS.inc(shard=result.shard_id)
+                else:
+                    _SHARD_CYCLES.inc(len(result.results),
+                                      shard=result.shard_id)
+                _CYCLES_REPLAYED.inc(result.replayed_cycles)
+                if store is not None:
+                    store.save(result)
+                if result.block is not None:
+                    blocks.setdefault(result.block[0], []).append(result)
+                else:
+                    _add_whole(whole, result, registry,
+                               absorb=not in_process)
+                telemetry.done(result.shard_id)
+                emit("shard.done", shard=result.shard_id,
+                     cycles=len(result.results),
+                     replayed=result.replayed_cycles,
+                     traces=_delta_total(result.metrics_delta,
+                                         "sim_traces_total"),
+                     cache_hits=_cache_total(result.metrics_delta,
+                                             "hits"),
+                     cache_misses=_cache_total(result.metrics_delta,
+                                               "misses"),
+                     **({"block": list(result.block)}
+                        if result.block is not None else {}))
+
+            next_id = len(shards)
             round_index = 0
             while pending:
                 if round_index > 0:
                     delay = backoff_base * (2 ** (round_index - 1))
                     if delay > 0:
                         sleep(delay)
-                executed, failed = _dispatch(spec, pending, workers,
-                                             attempts, fault_plan,
-                                             profile, beats, _on_beat,
-                                             state_dir=state_dir,
-                                             resources=resources,
-                                             watchdog=watchdog,
-                                             on_tick=_on_tick,
-                                             on_settle=_on_settle)
-                for result in executed:
-                    _SHARDS_RUN.inc()
-                    if result.block is not None:
-                        _PAIR_BLOCKS.inc(shard=result.shard_id)
-                    else:
-                        _SHARD_CYCLES.inc(len(result.results),
-                                          shard=result.shard_id)
-                    _CYCLES_REPLAYED.inc(result.replayed_cycles)
-                    if store is not None:
-                        store.save(result)
-                    if result.block is not None:
-                        blocks.setdefault(result.block[0],
-                                          []).append(result)
-                    else:
-                        completed.append(result)
-                    if tracker is not None:
-                        tracker.shard_done(result.shard_id)
-                        _notify()
-                    emit("shard.done", shard=result.shard_id,
-                         cycles=len(result.results),
-                         replayed=result.replayed_cycles,
-                         traces=_delta_total(result.metrics_delta,
-                                             "sim_traces_total"),
-                         cache_hits=_cache_total(result.metrics_delta,
-                                                 "hits"),
-                         cache_misses=_cache_total(
-                             result.metrics_delta, "misses"),
-                         **({"block": list(result.block)}
-                            if result.block is not None else {}))
                 retry: List[Shard] = []
-                for shard, error in failed:
+                for shard, error in executor.run(pending, attempts,
+                                                 collect):
                     attempt = attempts.pop(shard)
                     if attempt >= max_retries:
                         _SHARDS_FAILED.inc()
@@ -626,94 +679,61 @@ fast_forward` — never probing — so output stays byte-identical with or
                             f"attempts: {error}"
                         ) from error
                     _SHARD_RETRIES.inc(shard=shard.shard_id)
-                    _log.warning("par.shard.retry",
-                                 shard=shard.shard_id,
+                    _log.warning("par.shard.retry", shard=shard.shard_id,
                                  first=shard.first, last=shard.last,
-                                 attempt=attempt + 1,
-                                 error=str(error))
+                                 attempt=attempt + 1, error=str(error))
                     emit("shard.retry", shard=shard.shard_id,
                          first=shard.first, last=shard.last,
                          attempt=attempt + 1, error=str(error))
-                    children: List[Shard] = []
-                    if subdivide and shard.block is not None:
-                        index, count = shard.block
-                        for child_block in ((2 * index, 2 * count),
-                                            (2 * index + 1,
-                                             2 * count)):
-                            children.append(Shard(
-                                shard_id=next_id, first=shard.first,
-                                last=shard.last, block=child_block))
-                            next_id += 1
-                    elif subdivide and len(shard) > 1:
-                        for half in shard_cycles(shard.first,
-                                                 shard.last, 2):
-                            children.append(Shard(
-                                shard_id=next_id, first=half.first,
-                                last=half.last))
-                            next_id += 1
+                    children = (_halves(shard, next_id) if subdivide
+                                else [])
+                    next_id += len(children)
                     if children:
-                        if tracker is not None:
-                            tracker.abandon_shard(shard.shard_id)
-                        emit("shard.subdivided",
-                             parent=shard.shard_id,
+                        telemetry.abandon(shard.shard_id)
+                        emit("shard.subdivided", parent=shard.shard_id,
                              children=[c.shard_id for c in children])
                         for child in children:
-                            attempts[child] = attempt + 1
-                            _register(child)
-                            retry.append(child)
-                    else:
-                        attempts[shard] = attempt + 1
-                        retry.append(shard)
+                            telemetry.register(child)
+                    for unit in children or [shard]:
+                        attempts[unit] = attempt + 1
+                        retry.append(unit)
                 pending = retry
                 round_index += 1
 
-            # Assemble in cycle order: absorb cycle-range deltas
-            # as-is; reassemble pair-block cycles and pipeline them
-            # in-process, exactly where a serial run would.
-            registry = get_registry()
+            # Assemble in cycle order; pair-block cycles are pipelined
+            # here, exactly where a serial run pipelines them.
             results: List[CycleResult] = []
             shards_out: List[ShardResult] = []
-            units = [(r.results[0].cycle, r, None) for r in completed]
-            for cycle, cycle_blocks in blocks.items():
-                units.append((cycle, None, cycle_blocks))
+            units = [(r.results[0].cycle, r, None) for r in whole]
+            units.extend((cycle, None, cycle_blocks)
+                         for cycle, cycle_blocks in blocks.items())
             units.sort(key=lambda unit: unit[0])
-            for cycle, whole, cycle_blocks in units:
-                if whole is not None:
-                    if whole.spans:
-                        get_tracer().graft(whole.spans,
-                                           shard=whole.shard_id)
-                    registry.absorb(whole.metrics_delta)
-                    for result in whole.results:
-                        emit("cycle.metrics", cycle=result.cycle,
-                             metrics=result.metrics)
-                    results.extend(whole.results)
-                    shards_out.append(whole)
-                    continue
-                assembled, ordered = _assemble_cycle(
-                    spec, cycle, cycle_blocks, pipeline, registry)
-                if store is not None:
-                    store.save(assembled)
-                results.extend(assembled.results)
-                shards_out.extend(ordered)
+            for cycle, result, cycle_blocks in units:
+                if result is None:
+                    result, ordered = _assemble_cycle(
+                        spec, cycle, cycle_blocks, pipeline, registry)
+                    if store is not None:
+                        store.save(result)
+                    shards_out.extend(ordered)
+                else:
+                    if result.spans:
+                        get_tracer().graft(result.spans,
+                                           shard=result.shard_id)
+                    shards_out.append(result)
+                results.extend(result.results)
 
-            # Post-study experiments (persistence sweeps, ramp
-            # campaigns, label dynamics) run extra cycles on top of
-            # the campaign's end state — replay the whole
-            # control-plane evolution so that state matches a serial
-            # run.  With a state store the seeding pass above already
-            # left the simulator at the end state.
-            if state_store is None:
+            # Post-study experiments (Figs 6, 16, 17) run extra cycles
+            # on top of the campaign's end state.
+            if cursor.position < spec.cycles:
                 with span("par.fast_forward", cycles=spec.cycles):
-                    simulator.fast_forward(1, spec.cycles)
+                    cursor.advance(spec.cycles)
     finally:
         if manager is not None:
             manager.shutdown()
     if resources:
-        # The parent's own footprint (reassembly, absorption, replay),
-        # after every delta window has closed.
+        # The parent's own footprint, after every delta window closed.
         record_resources("parent", sample_resources())
-    if health is not None:
-        health.finish()
+    telemetry.finish()
     _log.info("par.study.done", cycles=len(results),
               shards=len(shards_out))
     emit("study.done", cycles=len(results), shards=len(shards_out))
@@ -721,32 +741,72 @@ fast_forward` — never probing — so output stays byte-identical with or
                     results=results, shards=shards_out)
 
 
-def _seed_state_store(simulator: ArkSimulator, state_store: StateStore,
-                      cycles: int, stride: int) -> None:
-    """Advance ``simulator`` to the campaign's end state, writing any
-    missing stride snapshots on the way.
+def _restore(shards: List[Shard], store: Optional[CheckpointStore],
+             telemetry: _Telemetry, whole: List[ShardResult],
+             blocks: Dict[int, List[ShardResult]], registry
+             ) -> List[Shard]:
+    """Fill ``whole``/``blocks`` from checkpoints; returns the shards
+    still to run.
 
-    The seeding pass itself warm-starts: it restores the newest usable
-    snapshot that does not skip past a missing stride target, so a
-    resumed or repeated study pays only for the snapshots it still
-    lacks.  On completion the simulator holds the cycle-``cycles`` end
-    state — the parallel runner's final ``fast_forward`` folded into
-    the same pass.
-    """
-    targets = range(stride, cycles + 1, stride)
-    missing = [cycle for cycle in targets
-               if not state_store.has(cycle)]
-    horizon = missing[0] if missing else cycles
-    cursor = 0
-    found = state_store.load_nearest(horizon)
-    if found is not None:
-        cursor, state = found
-        simulator.internet.restore_state(state)
-    remaining = set(missing)
-    for cycle in range(cursor + 1, cycles + 1):
-        simulator.fast_forward(cycle, cycle)
-        if cycle in remaining:
-            state_store.save(cycle, simulator.internet.capture_state())
+    A pair block is satisfied by its cycle's whole-cycle checkpoint
+    (the key a one-worker run writes) before its own file."""
+    pending: List[Shard] = []
+    cycle_restored: set = set()
+    for shard in shards:
+        if shard.first in cycle_restored:
+            telemetry.register(shard, done=True)
+            continue
+        cached = None
+        if store is not None and (shard.block is None
+                                  or shard.block[0] == 0):
+            cached = store.load(shard.first, shard.last)
+        if cached is not None:
+            _add_whole(whole, cached, registry, absorb=True)
+            if shard.block is not None:
+                cycle_restored.add(shard.first)
+        elif shard.block is not None and store is not None:
+            cached = store.load(shard.first, shard.last, shard.block)
+            if cached is not None:
+                blocks.setdefault(shard.first, []).append(cached)
+        if cached is None:
+            pending.append(shard)
+            telemetry.register(shard)
+            continue
+        telemetry.register(shard, done=True)
+        emit("shard.restored", shard=shard.shard_id, first=shard.first,
+             last=shard.last,
+             **({"block": list(shard.block)}
+                if cached.block is not None else {}))
+    return pending
+
+
+def _add_whole(whole: List[ShardResult], result: ShardResult, registry,
+               absorb: bool) -> None:
+    """Keep one cycle-range result, absorbing its delta unless it is
+    already in the registry, and emit its cycles' metrics deltas."""
+    if absorb:
+        registry.absorb(result.metrics_delta)
+    for cycle_result in result.results:
+        emit("cycle.metrics", cycle=cycle_result.cycle,
+             metrics=cycle_result.metrics)
+    whole.append(result)
+
+
+def _halves(shard: Shard, next_id: int) -> List[Shard]:
+    """A failed shard's two retry children — half-blocks for a pair
+    block, half-ranges for a cycle range — or none for one cycle."""
+    if shard.block is not None:
+        index, count = shard.block
+        return [Shard(shard_id=next_id + offset, first=shard.first,
+                      last=shard.last, block=(2 * index + offset,
+                                              2 * count))
+                for offset in (0, 1)]
+    if len(shard) > 1:
+        return [Shard(shard_id=next_id + offset, first=half.first,
+                      last=half.last)
+                for offset, half in enumerate(
+                    shard_cycles(shard.first, shard.last, 2))]
+    return []
 
 
 def _delta_total(delta: Dict[str, Any], name: str) -> float:
@@ -835,191 +895,3 @@ def _drain(beats, on_beat: Callable[[Dict[str, Any]], None]) -> None:
             # best-effort telemetry, never worth failing the study.
             return
         on_beat(beat)
-
-
-def _dispatch(spec: StudySpec, shards: List[Shard], workers: int,
-              attempts: Dict[Shard, int],
-              fault_plan: Optional[FaultPlan],
-              profile: bool = False,
-              beats=None,
-              on_beat: Optional[Callable[[Dict[str, Any]],
-                                         None]] = None,
-              state_dir=None,
-              resources: bool = False,
-              watchdog: Optional[StallWatchdog] = None,
-              on_tick: Optional[Callable[[], None]] = None,
-              on_settle: Optional[Callable[[int], None]] = None
-              ) -> Tuple[List[ShardResult],
-                         List[Tuple[Shard, BaseException]]]:
-    """One pool round: run every shard once, sorting survivors from
-    casualties.  A broken pool (worker killed) fails every shard that
-    had not finished; the pool itself is rebuilt next round.
-
-    With a progress queue, the completion wait runs on a short timeout
-    so heartbeats drain (and the progress line refreshes) while shards
-    are still in flight; without one it blocks until each completion.
-    A ``watchdog`` registers each submitted shard and ``on_tick`` runs
-    after every drain, so stall deadlines are judged on the same pulse
-    heartbeats arrive on; ``on_settle`` fires once per resolved future
-    (success or failure), letting the runner unflag a stalled shard
-    whose worker finally returned.
-    """
-    executed: List[ShardResult] = []
-    failed: List[Tuple[Shard, BaseException]] = []
-    with ProcessPoolExecutor(max_workers=min(workers, len(shards)),
-                             mp_context=_pool_context()) as pool:
-        futures = {
-            pool.submit(
-                _run_shard,
-                (spec, shard, attempts[shard],
-                 fault_plan.for_shard(shard) if fault_plan else None,
-                 profile, beats, state_dir, resources),
-            ): shard
-            for shard in shards
-        }
-        for shard in shards:
-            if watchdog is not None:
-                watchdog.watch(shard.shard_id)
-            emit("shard.dispatch", shard=shard.shard_id,
-                 first=shard.first, last=shard.last,
-                 attempt=attempts[shard] + 1,
-                 **({"block": list(shard.block)}
-                    if shard.block is not None else {}))
-        pending = set(futures)
-        while pending:
-            done, pending = wait(
-                pending,
-                timeout=0.2 if beats is not None else None,
-                return_when=FIRST_COMPLETED)
-            if on_beat is not None:
-                _drain(beats, on_beat)
-            if on_tick is not None:
-                on_tick()
-            for future in done:
-                shard = futures[future]
-                try:
-                    executed.append(future.result())
-                except Exception as error:  # incl. BrokenProcessPool
-                    failed.append((shard, error))
-                if on_settle is not None:
-                    on_settle(shard.shard_id)
-        if on_beat is not None:
-            _drain(beats, on_beat)
-    return executed, failed
-
-
-def _run_serial(spec: StudySpec, store: Optional[CheckpointStore],
-                fault_plan: Optional[FaultPlan],
-                progress: Optional[Callable[[ProgressTracker],
-                                            None]] = None,
-                progress_clock: Optional[Clock] = None,
-                state_store: Optional[StateStore] = None,
-                snapshot_stride: int = DEFAULT_SNAPSHOT_STRIDE,
-                resources: bool = False,
-                health: Optional[HealthMonitor] = None
-                ) -> StudyRun:
-    """The in-process loop, with optional per-cycle checkpointing.
-
-    Serially each cycle is its own checkpoint unit: a resumed run
-    replays the control plane through checkpointed cycles (no probing)
-    and absorbs their stored metrics deltas, so registry totals and
-    results match an uninterrupted run exactly (modulo the stripped
-    cache counters, which only ever count probes actually issued by
-    this process).
-
-    With a ``state_store`` the loop writes a control-plane snapshot
-    after each probed stride-multiple cycle and the control-plane
-    advance is *deferred*: a checkpointed cycle needs no simulator
-    state, so over a run of restored cycles the loop stays put, then
-    jumps the gap in one hop — nearest snapshot plus tail replay — when
-    it next probes (or at the end, for the end state).  An interrupted
-    ``--state-dir`` study therefore resumes warm instead of replaying
-    its whole checkpointed prefix.
-
-    A serial run is its own single "shard" on the progress tracker (one
-    heartbeat per finished cycle), and emits the same ``cycle.metrics``
-    events a parallel run does, so ``repro report`` reads both alike.
-    With ``resources`` it samples itself once per cycle under shard
-    label 0 — *after* the cycle's checkpoint delta window closed, so
-    the persisted bytes never see a gauge — and beats ``health`` on
-    the same cadence (the serial path's stall detection is the
-    monitor's staleness rule, there being no per-shard watchdog).
-    """
-    simulator, pipeline = build_study(spec)
-    registry = get_registry()
-    sim_traces = registry.counter("sim_traces_total")
-    traces_start = sim_traces.value()
-    tracker: Optional[ProgressTracker] = None
-    if progress is not None:
-        tracker = ProgressTracker(spec.cycles,
-                                  clock=progress_clock
-                                  or MonotonicClock())
-        tracker.add_shard(0, float(spec.cycles))
-    results: List[CycleResult] = []
-    # Last cycle whose control-plane evolution the simulator holds.
-    state_cursor = 0
-
-    def _advance_to(target: int) -> None:
-        nonlocal state_cursor
-        if target <= state_cursor:
-            return
-        if state_store is not None:
-            found = state_store.load_nearest(target, after=state_cursor)
-            if found is not None:
-                state_cursor, state = found
-                simulator.internet.restore_state(state)
-        if state_cursor < target:
-            simulator.fast_forward(state_cursor + 1, target)
-            state_cursor = target
-
-    for cycle in range(1, spec.cycles + 1):
-        cached = (store.load(cycle, cycle)
-                  if store is not None else None)
-        if cached is not None:
-            if state_store is None:
-                _advance_to(cycle)
-            registry.absorb(cached.metrics_delta)
-            for result in cached.results:
-                emit("cycle.metrics", cycle=result.cycle,
-                     metrics=result.metrics, restored=True)
-            results.extend(cached.results)
-        else:
-            if fault_plan is not None:
-                fault = fault_plan.for_cycle(cycle)
-                if fault is not None:
-                    fault.maybe_fire(0, 0)
-            before = registry.snapshot() if store is not None else None
-            _advance_to(cycle - 1)
-            result = pipeline.process_cycle(simulator.run_cycle(cycle))
-            state_cursor = cycle
-            results.append(result)
-            emit("cycle.metrics", cycle=result.cycle,
-                 metrics=result.metrics)
-            if store is not None:
-                store.save(ShardResult(
-                    shard_id=cycle - 1,
-                    results=[result],
-                    metrics_delta=registry.diff(before,
-                                                registry.snapshot()),
-                    replayed_cycles=0,
-                ))
-            if (state_store is not None
-                    and cycle % snapshot_stride == 0
-                    and not state_store.has(cycle)):
-                state_store.save(cycle,
-                                 simulator.internet.capture_state())
-        if resources:
-            record_resources(0, sample_resources())
-        if health is not None:
-            health.beat()
-        if tracker is not None:
-            tracker.heartbeat(
-                0, cycles_done=cycle,
-                traces=sim_traces.value() - traces_start)
-            progress(tracker)
-    _advance_to(spec.cycles)
-    if tracker is not None:
-        tracker.shard_done(0)
-        progress(tracker)
-    return StudyRun(simulator=simulator, pipeline=pipeline,
-                    results=results)

@@ -10,15 +10,13 @@ state *after* cycle N loads the nearest snapshot ≤ N and replays only
 the tail — near-O(1) in campaign length once the store is warm
 (DESIGN §10).
 
-Three parties share one store:
-
-* the **parallel parent** seeds it while advancing its own end-state
-  simulator (writing any missing stride snapshots), so even a first
-  run's late shards warm-start;
-* **workers** load the nearest snapshot ≤ their shard's first cycle
-  and replay only the remainder;
-* the **serial loop** writes snapshots as it runs, so an interrupted
-  ``repro study --state-dir DIR`` resumes warm.
+The runner's one state cursor (``repro.par.runner._Cursor``) is the
+only reader and writer: it restores the newest usable snapshot that
+skips no missing stride multiple, replays the rest, and writes each
+missing snapshot it passes, whether replaying or probing.  So a pool
+parent seeds the store in one pass before dispatch, workers replay only
+their tail, and an interrupted ``repro study --state-dir DIR`` resumes
+warm.
 
 The store is a sibling of :class:`~repro.par.checkpoint.CheckpointStore`
 and inherits its trust model: content-addressed directory

@@ -12,7 +12,7 @@ reference, reporting the first divergent ``(config, cycle, stage)``
 with a structured value diff.
 
 A configuration is a :class:`VerifyConfig`; :func:`default_matrix`
-builds the standard eight.  :func:`run_matrix` executes them all,
+builds the standard nine.  :func:`run_matrix` executes them all,
 audits the reference run against the invariant registry
 (:mod:`repro.verify.invariants`), and — on divergence — hands the
 failing configuration to the shrinker (:mod:`repro.verify.shrink`) for
@@ -71,9 +71,10 @@ class VerifyConfig:
     ``memoize=False`` runs the uncached forwarding reference.
     ``resume`` stages a mid-study crash (RAISE fault against a
     checkpointed serial run) and re-runs to completion from the
-    checkpoints.  ``state`` names a shared warm-start store key:
-    configs with the same key use the same ``--state-dir``, so a
-    ``cold`` run seeds the snapshots a later ``warm`` run restores.
+    checkpoints over ``workers``.  ``state`` names a shared warm-start
+    store key: configs with the same key use the same ``--state-dir``,
+    so a ``cold`` run seeds the snapshots a later ``warm`` run
+    restores.
     ``archive`` round-trips cycle 1 through the warts codec and back
     (``strict`` reader or ``tolerant`` salvage path) before the
     pipeline runs.
@@ -113,6 +114,10 @@ def default_matrix(workers: int = 2) -> List[VerifyConfig]:
         VerifyConfig(name="resume", resume=True,
                      description="mid-study crash, then checkpoint "
                                  "resume"),
+        VerifyConfig(name="resume-workers", resume=True,
+                     workers=workers, state="resume-workers",
+                     description=f"serial crash, then resume over "
+                                 f"{workers} workers"),
         VerifyConfig(name="state-cold", state="shared",
                      description="serial run seeding a warm-start "
                                  "state store"),
@@ -377,19 +382,15 @@ def execute_config(spec: StudySpec, config: VerifyConfig,
         options["state_dir"] = workdir / f"state-{config.state}"
         options["snapshot_stride"] = 1
     if config.resume:
-        checkpoint_dir = workdir / f"checkpoint-{config.name}"
+        options["checkpoint_dir"] = workdir / f"checkpoint-{config.name}"
         plan = FaultPlan({_mid_cycle(spec): ShardFault(kind=RAISE)})
         try:
-            run_study(spec, workers=1, checkpoint_dir=checkpoint_dir,
-                      fault_plan=plan, **options)
+            run_study(spec, workers=1, fault_plan=plan, **options)
         except FaultInjected:
             pass
         else:  # pragma: no cover - the staged fault always fires
             raise RuntimeError("staged mid-study fault did not fire")
-        run = run_study(spec, workers=1,
-                        checkpoint_dir=checkpoint_dir, **options)
-    else:
-        run = run_study(spec, workers=workers, **options)
+    run = run_study(spec, workers=workers, **options)
     return run.results, state_fingerprint(run.simulator.internet)
 
 

@@ -12,7 +12,6 @@ import pytest
 
 from repro.analysis import LongitudinalStudy, Study, regenerate
 from repro.cli import main
-from repro.core.pipeline import run_study
 from repro.obs import MetricsRegistry, get_registry
 from repro.par import (
     CheckpointStore,
@@ -20,6 +19,7 @@ from repro.par import (
     StudySpec,
     build_study,
     plan_shards,
+    run_study,
     shard_cycles,
     spec_hash,
 )
@@ -150,8 +150,15 @@ class TestShardReconciliation:
         assert shard_drops == serial_drops
         assert shard_drops  # the study drops LSPs in every filter run
 
-    def test_serial_run_has_no_shards(self, serial_run):
-        assert serial_run.shards == []
+    def test_serial_run_has_one_shard_per_cycle(self, serial_run):
+        # The in-process executor runs one shard per cycle, with the
+        # shard ids and per-cycle keys a serial checkpoint uses.
+        assert [(s.shard_id, s.block, len(s.results))
+                for s in serial_run.shards] == \
+            [(cycle - 1, None, 1) for cycle in range(1, SPEC.cycles + 1)]
+        assert [s.results[0] for s in serial_run.shards] == \
+            serial_run.results
+        assert all(s.replayed_cycles == 0 for s in serial_run.shards)
 
 
 class TestPlanShards:

@@ -20,17 +20,17 @@ import shutil
 
 import pytest
 
-from repro.core.pipeline import run_study
 from repro.obs import get_registry
 from repro.par import (
-    KILL,
-    RAISE,
     CheckpointStore,
     FaultInjected,
     FaultPlan,
+    KILL,
+    RAISE,
     ShardFault,
     StudyFailure,
     StudySpec,
+    run_study,
     spec_hash,
 )
 from repro.warts.format import WartsError, WartsReader, write_archive

@@ -25,7 +25,6 @@ import shutil
 
 import pytest
 
-from repro.core.pipeline import run_study
 from repro.mpls.lfib import LabelAllocator, LabelAllocatorError
 from repro.mpls.vendor import PROFILES, get_profile
 from repro.obs import get_registry
@@ -34,10 +33,12 @@ from repro.par import (
     StateStore,
     StudySpec,
     build_study,
+    run_study,
     spec_hash,
     state_spec_hash,
 )
 from repro.par.faults import RAISE, FaultInjected, FaultPlan, ShardFault
+from repro.sim import ArkSimulator
 
 SPEC = StudySpec(scale=0.25, seed=7, cycles=6, snapshots_per_cycle=2)
 
@@ -393,6 +394,37 @@ class TestWarmStudies:
         # snapshot instead of replaying cycles 1-4.
         assert _counter_total("state_snapshot_hits_total") > \
             before_hits
+        _assert_identical(cold_run, resumed)
+
+    def test_serial_resume_replays_tail_and_fills_store(
+            self, cold_run, tmp_path, monkeypatch):
+        plan = FaultPlan({6: ShardFault(kind=RAISE, attempts=(0,))})
+        with pytest.raises(FaultInjected):
+            run_study(SPEC, workers=1,
+                      checkpoint_dir=tmp_path / "ckpt",
+                      state_dir=tmp_path / "state", snapshot_stride=2,
+                      fault_plan=plan)
+        store = StateStore(tmp_path / "state", SPEC)
+        assert store.cycles() == [2, 4]
+        store.path_for(4).unlink()  # a partly filled store
+        replayed = []
+        fast_forward = ArkSimulator.fast_forward
+
+        def counting(self, first=1, last=0):
+            replayed.extend(range(first, last + 1))
+            return fast_forward(self, first, last)
+
+        monkeypatch.setattr(ArkSimulator, "fast_forward", counting)
+        resumed = run_study(SPEC, workers=1,
+                            checkpoint_dir=tmp_path / "ckpt",
+                            state_dir=tmp_path / "state",
+                            snapshot_stride=2)
+        # Cycles 1-5 come from checkpoints.  Probing cycle 6 needs the
+        # state after cycle 5: restore the cycle-2 snapshot (cycle 4 is
+        # missing, so no newer one may be used), replay 3-5 writing
+        # snapshot 4 on the way, then probe 6 and write its snapshot.
+        assert replayed == [3, 4, 5]
+        assert store.cycles() == [2, 4, 6]
         _assert_identical(cold_run, resumed)
 
     def test_invalid_stride_rejected(self):

@@ -9,7 +9,7 @@ from repro.cli import main
 from repro.core.filters import FilterStats
 from repro.obs import (EventBus, get_event_bus, get_registry,
                        set_event_bus)
-from repro.par import StudySpec, run_study
+from repro.par import CheckpointStore, StateStore, StudySpec, run_study
 from repro.sim.dataplane import DataPlane
 from repro.verify import (
     CONFIG_NAMES,
@@ -38,7 +38,8 @@ SPEC = StudySpec(scale=0.2, seed=7, cycles=2, snapshots_per_cycle=2)
 # The in-process half of the matrix: everything that doesn't spawn a
 # worker pool, so most tests stay fast.
 _SERIAL_CONFIGS = [config for config in default_matrix()
-                   if config.name not in ("workers", "pair-block")]
+                   if config.name not in ("workers", "pair-block",
+                                          "resume-workers")]
 
 
 def _delta(values):
@@ -272,6 +273,23 @@ class TestMatrixWorkerConfigs:
                             shrink=False)
         assert report.clean, report.render()
 
+    def test_cross_executor_resume_matches_reference(self, tmp_path):
+        spec = replace(SPEC, cycles=4)
+        configs = [config for config in default_matrix(workers=2)
+                   if config.name == "resume-workers"]
+        report = run_matrix(spec, configs, workdir=tmp_path,
+                            shrink=False)
+        assert report.clean, report.render()
+        # The serial run crashed at cycle 2 after checkpointing cycle 1
+        # and snapshotting it; the two-worker resume ran cycle ranges
+        # and completed the stride-1 store.
+        checkpoints = CheckpointStore(
+            tmp_path / "checkpoint-resume-workers", spec)
+        assert checkpoints.path_for(1, 1).exists()
+        assert checkpoints.path_for(1, 2).exists()
+        store = StateStore(tmp_path / "state-resume-workers", spec)
+        assert store.cycles() == [1, 2, 3, 4]
+
 
 class TestBrokenMemoDetection:
     @pytest.fixture(scope="class")
@@ -359,8 +377,8 @@ class TestConfigNames:
     def test_matrix_names_are_stable(self):
         assert CONFIG_NAMES == (
             "workers", "pair-block", "no-memo", "resume",
-            "state-cold", "state-warm", "strict-archive",
-            "tolerant-archive")
+            "resume-workers", "state-cold", "state-warm",
+            "strict-archive", "tolerant-archive")
 
 
 class TestVerifyCli:
