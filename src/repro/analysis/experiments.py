@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Union
 
 from ..core.pipeline import LprPipeline, persistence_sweep
-from ..obs import get_logger, span
+from ..obs import span
 from ..par import DEFAULT_SNAPSHOT_STRIDE, StudySpec, run_study
 from ..sim.ark import ArkSimulator, daily_campaign, \
     label_dynamics_campaign
@@ -41,8 +41,6 @@ from .figures import (
     per_as_figure,
 )
 from .tables import TableResult, table1, table2
-
-_log = get_logger(__name__)
 
 FOCUS_ASES = {
     VODAFONE: "Vodafone",
@@ -111,8 +109,6 @@ def run_longitudinal_study(scale: float = 1.0, seed: int = 2015,
     spec = StudySpec(scale=scale, seed=seed,
                      cycles=CYCLES if cycles is None else cycles,
                      snapshots_per_cycle=snapshots_per_cycle)
-    _log.info("study.start", scale=scale, seed=seed, cycles=spec.cycles,
-              workers=workers)
     with span("study.run", cycles=spec.cycles, workers=workers):
         run = run_study(spec, workers=workers,
                         checkpoint_dir=checkpoint_dir,
@@ -126,7 +122,6 @@ def run_longitudinal_study(scale: float = 1.0, seed: int = 2015,
                         stall_timeout=stall_timeout,
                         stall_clock=stall_clock,
                         health=health)
-    _log.info("study.done", cycles=len(run.results))
     return Study(simulator=run.simulator, pipeline=run.pipeline,
                  longitudinal=LongitudinalStudy(run.results))
 

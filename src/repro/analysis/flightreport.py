@@ -5,8 +5,9 @@ from the files the flight recorder left behind:
 
 * the **events file** (``--events-out``, :mod:`repro.obs.events`
   JSONL) drives the run summary, the shard timeline (dispatches,
-  restores, retries, subdivisions, failures), the cache hit rates, the
-  per-cycle filter-drop trajectories, and — when the run served live
+  restores, retries, subdivisions, failures), the cache hit rates,
+  each restart store's restores, misses, writes and rejects by reason,
+  the per-cycle filter-drop trajectories, and — when the run served live
   telemetry — the per-process resource usage and stall sections;
 * the optional **trace file** (``--trace-out``, Chrome trace-event
   JSON) adds wall-time: a per-stage table split into parent and worker
@@ -53,8 +54,6 @@ _SUMMARY_COUNTS = {
     "restored from checkpoint": "shard.restored",
     "retries": "shard.retry",
     "subdivisions": "shard.subdivided",
-    "checkpoint writes": "checkpoint.write",
-    "checkpoint rejects": "checkpoint.rejected",
 }
 
 
@@ -247,14 +246,26 @@ def _cache_data(grouped: Dict[str, List[Event]]) -> Dict[str, Any]:
     return data
 
 
-# -- warm-start state snapshots ----------------------------------------------
+# -- restart stores ----------------------------------------------------------
 
-def _snapshot_totals(grouped: Dict[str, List[Event]]
-                     ) -> Optional[Dict[str, Any]]:
-    hits = grouped.get("snapshot.hit", [])
-    misses = grouped.get("snapshot.miss", [])
-    writes = grouped.get("snapshot.write", [])
-    rejected = grouped.get("snapshot.rejected", [])
+_STORES = {
+    # family: (section title, JSON key, miss total, hit field, its total)
+    "checkpoint": ("shard checkpoints", "checkpoints", "misses",
+                   "cycles", "cycles_restored"),
+    "snapshot": ("warm-start state snapshots", "state_snapshots",
+                 "cold_replays", "saved", "replay_cycles_saved"),
+}
+
+
+def _store_totals(grouped: Dict[str, List[Event]], family: str
+                  ) -> Optional[Dict[str, Any]]:
+    """One store family's restores, misses, writes and rejects by
+    reason, from its ``<family>.hit/miss/write/rejected`` events
+    (:mod:`repro.par.store`); None when the run never touched it."""
+    _title, _key, miss_total, hit_field, hit_total = _STORES[family]
+    hits, misses, writes, rejected = (
+        grouped.get(f"{family}.{fact}", [])
+        for fact in ("hit", "miss", "write", "rejected"))
     if not (hits or misses or writes or rejected):
         return None
     reasons: Dict[str, int] = {}
@@ -263,34 +274,30 @@ def _snapshot_totals(grouped: Dict[str, List[Event]]
         reasons[reason] = reasons.get(reason, 0) + 1
     return {
         "restores": len(hits),
-        "cold_replays": len(misses),
+        miss_total: len(misses),
         "writes": len(writes),
         "rejected": len(rejected),
-        "replay_cycles_saved": sum(event.fields.get("saved", 0)
-                                   for event in hits),
+        hit_total: sum(event.fields.get(hit_field, 0) for event in hits),
         "rejects_by_reason": reasons,
     }
 
 
-def _snapshot_section(grouped: Dict[str, List[Event]]) -> List[str]:
-    """Warm-start state-store activity (:mod:`repro.par.statestore`).
-
-    ``snapshot.hit`` events carry how many replay cycles each restore
-    saved; misses mean a cold replay followed, rejects mean a file was
-    unusable (corrupt, foreign spec or version) and the search fell
-    back to an older snapshot.
+def _store_section(grouped: Dict[str, List[Event]],
+                   family: str) -> List[str]:
+    """Why stored files were restored, missed or rejected: a reject
+    means a file was unusable (corrupt, foreign spec or version) and
+    its work was re-run or, for snapshots, replayed from an older one.
     """
-    totals = _snapshot_totals(grouped)
+    totals = _store_totals(grouped, family)
     if totals is None:
         return []
-    lines = ["== warm-start state snapshots ==",
-             f"restores: {totals['restores']}  "
-             f"cold replays: {totals['cold_replays']}  "
-             f"writes: {totals['writes']}  "
-             f"rejected: {totals['rejected']}"]
+    title, _key, miss_total, _field, hit_total = _STORES[family]
+    lines = [f"== {title} ==", "  ".join(
+        f"{name.replace('_', ' ')}: {totals[name]}"
+        for name in ("restores", miss_total, "writes", "rejected"))]
     if totals["restores"]:
-        lines.append(f"replay cycles saved: "
-                     f"{totals['replay_cycles_saved']:.0f}")
+        lines.append(f"{hit_total.replace('_', ' ')}: "
+                     f"{totals[hit_total]:.0f}")
     if totals["rejected"]:
         lines.append("rejects by reason: " + "  ".join(
             f"{reason}: {count}"
@@ -620,7 +627,7 @@ def flight_report(events_path: Union[str, Path],
         _summary_section(grouped),
         _shard_timeline(grouped),
         _cache_section(grouped),
-        _snapshot_section(grouped),
+        *(_store_section(grouped, family) for family in _STORES),
         _resource_section(grouped),
         _stall_section(grouped),
         _filter_section(grouped),
@@ -648,7 +655,8 @@ def flight_report_data(events_path: Union[str, Path],
     optional: List[tuple] = [
         ("shards", _shard_rows(grouped)),
         ("caches", _cache_data(grouped)),
-        ("state_snapshots", _snapshot_totals(grouped)),
+        *((_STORES[family][1], _store_totals(grouped, family))
+          for family in _STORES),
         ("resources", _resource_rows(grouped)),
         ("stalls", _stall_rows(grouped)),
         ("filters", _filter_series(grouped)),

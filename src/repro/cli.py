@@ -66,7 +66,6 @@ from .obs import (
     TelemetryServer,
     Tracer,
     configure_logging,
-    get_logger,
     get_registry,
     get_tracer,
     parse_endpoint,
@@ -79,8 +78,6 @@ from .sim import ArkSimulator, paper_scenario
 from .traces import Trace
 from .verify import CONFIG_NAMES, default_matrix, run_matrix
 from .warts import read_archive, salvage_archive, write_archive
-
-_log = get_logger(__name__)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -154,8 +151,9 @@ def build_parser() -> argparse.ArgumentParser:
     study.add_argument("--checkpoint-dir", type=Path, default=None,
                        metavar="DIR",
                        help="persist finished shards here; a restarted "
-                            "study replays only unfinished cycle "
-                            "ranges (keyed by the study spec's hash)")
+                            "study, at any --workers, replays only "
+                            "unfinished cycle ranges (keyed by the "
+                            "study spec's hash)")
     study.add_argument("--state-dir", type=Path, default=None,
                        metavar="DIR",
                        help="share warm-start control-plane snapshots "
@@ -599,7 +597,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             write_metrics_json(args.metrics_out,
                                registry=get_registry(),
                                trace=get_tracer())
-            _log.info("metrics.written", path=str(args.metrics_out))
         except OSError as error:
             print(f"cannot write metrics: {error}", file=sys.stderr)
             code = code or 1

@@ -3,8 +3,6 @@
 The library instruments its hot path (simulation, extraction, filters,
 classification) against the process-wide singletons exposed here:
 
-* :func:`get_logger` — namespaced structured loggers (silent until
-  :func:`configure_logging` attaches a handler);
 * :func:`span` / :func:`get_tracer` — hierarchical wall-time spans.
   The default tracer carries a :class:`NullClock`, so the library never
   reads the wall clock unless a caller opts into profiling
@@ -14,7 +12,9 @@ classification) against the process-wide singletons exposed here:
 * :func:`emit` / :func:`get_event_bus` — the study flight recorder
   (:mod:`repro.obs.events`): an append-only event bus with logical
   sequence numbers always and wall timestamps only under a real
-  :class:`Clock`;
+  :class:`Clock`.  It is also the only logging call: each event is
+  logged under ``repro.events``, silent until
+  :func:`configure_logging` attaches a handler;
 * :class:`ProgressTracker` (:mod:`repro.obs.progress`) — live campaign
   progress aggregated from worker heartbeats, with ETA.
 
@@ -31,12 +31,7 @@ flags shards whose heartbeats go silent past a deadline.  All of it is
 opt-in and clock-injected, so the determinism contract holds.
 """
 
-from .log import (
-    JsonFormatter,
-    KeyValueFormatter,
-    StructuredLogger,
-    get_logger,
-)
+from .log import JsonFormatter, KeyValueFormatter
 from .log import configure as configure_logging
 from .metrics import (
     Counter,
@@ -93,8 +88,6 @@ from .live import (
 __all__ = [
     "JsonFormatter",
     "KeyValueFormatter",
-    "StructuredLogger",
-    "get_logger",
     "configure_logging",
     "Counter",
     "Gauge",

@@ -29,11 +29,22 @@ Usage mirrors the tracer: a process-wide bus behind
 
 Worker processes install a fresh in-memory bus at shard start, so a
 forked sink file descriptor is never written from two processes.
+
+Logging
+-------
+
+An emitted event is also the library's log line: the bus hands it to
+the stdlib logger ``repro.events`` at the level :data:`LOG_LEVELS`
+gives its kind (DEBUG for any kind not listed), named by the kind and
+carrying the fields.  The level check comes first, so a hidden level
+costs one comparison, and nothing prints until
+:func:`repro.obs.log.configure` attaches a handler.
 """
 
 from __future__ import annotations
 
 import json
+import logging
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -54,6 +65,19 @@ _RESERVED = frozenset({"seq", "kind", "ts"})
 
 DEFAULT_KEEP = 65536
 """In-memory events retained per bus (a ring; the sink gets them all)."""
+
+LOG_LEVELS: Dict[str, int] = {
+    **dict.fromkeys(("checkpoint.rejected", "snapshot.rejected",
+                     "shard.retry", "shard.stalled", "verify.divergence",
+                     "warts.record.skipped"), logging.WARNING),
+    **dict.fromkeys(("study.start", "study.done", "cycle.done",
+                     "checkpoint.hit", "checkpoint.write", "snapshot.hit",
+                     "snapshot.write", "verify.start", "verify.done",
+                     "verify.minimal"), logging.INFO),
+}
+"""The log level of each event kind; every other kind logs at DEBUG."""
+
+_logger = logging.getLogger("repro.events")
 
 
 @dataclass(frozen=True)
@@ -125,7 +149,7 @@ class EventBus:
         return not isinstance(self.clock, NullClock)
 
     def emit(self, kind: str, /, **fields: Any) -> Event:
-        """Record one event; returns it (mostly for tests).
+        """Record one event, then log it; returns it (mostly for tests).
 
         ``kind`` is positional-only so a payload field may not shadow
         it; the other reserved keys are rejected explicitly.
@@ -146,6 +170,9 @@ class EventBus:
             self._stream.write(json.dumps(event.to_dict(),
                                           default=str) + "\n")
             self._stream.flush()
+        level = LOG_LEVELS.get(kind, logging.DEBUG)
+        if _logger.isEnabledFor(level):
+            _logger.log(level, kind, extra={"fields": fields})
         return event
 
     def reset(self) -> None:

@@ -1,20 +1,15 @@
-"""Structured logging on top of stdlib :mod:`logging`.
+"""Log output for the event bus.
 
-Every module of the library obtains a namespaced logger via
-:func:`get_logger` (``repro.sim.ark``, ``repro.core.filters``, ...) and
-emits *events* rather than prose: a short dotted event name plus
-key=value fields::
+The library logs only through :func:`repro.obs.events.emit`: each event
+is also a record on the stdlib logger ``repro.events``, at the level
+its kind maps to (:data:`repro.obs.events.LOG_LEVELS`), with the event
+kind as message and the event fields as ``record.fields``.
 
-    log = get_logger(__name__)
-    log.info("cycle.done", cycle=12, traces=2381)
-
-Nothing is printed until :func:`configure` attaches a handler — the
-library itself stays silent (a :class:`logging.NullHandler` sits on the
-``repro`` root), so importing it never touches stderr or the wall clock.
-The CLI calls :func:`configure` from its global ``--log-level`` /
-``--log-json`` flags; embedders may instead attach their own handlers to
-the ``repro`` logger tree and still receive the structured fields via
-``record.fields``.
+Nothing is printed until :func:`configure` attaches a handler — a
+:class:`logging.NullHandler` sits on the ``repro`` root, so importing
+the library never touches stderr.  The CLI calls :func:`configure` from
+its global ``--log-level`` / ``--log-json`` flags; embedders may attach
+their own handlers to the ``repro`` logger tree instead.
 
 Two formatters ship with the library:
 
@@ -84,56 +79,6 @@ class JsonFormatter(logging.Formatter):
         }
         payload.update(_fields_of(record))
         return json.dumps(payload, default=str)
-
-
-class StructuredLogger:
-    """Thin wrapper turning keyword arguments into structured fields.
-
-    The wrapper is deliberately lazy: when the level is disabled the
-    call returns before any field formatting happens, so instrumented
-    hot paths cost one integer comparison.
-    """
-
-    __slots__ = ("_logger",)
-
-    def __init__(self, logger: logging.Logger):
-        self._logger = logger
-
-    @property
-    def name(self) -> str:
-        return self._logger.name
-
-    def is_enabled_for(self, level: int) -> bool:
-        return self._logger.isEnabledFor(level)
-
-    def _log(self, level: int, event: str,
-             fields: Dict[str, Any]) -> None:
-        if self._logger.isEnabledFor(level):
-            self._logger.log(level, event, extra={"fields": fields})
-
-    def debug(self, event: str, **fields: Any) -> None:
-        self._log(logging.DEBUG, event, fields)
-
-    def info(self, event: str, **fields: Any) -> None:
-        self._log(logging.INFO, event, fields)
-
-    def warning(self, event: str, **fields: Any) -> None:
-        self._log(logging.WARNING, event, fields)
-
-    def error(self, event: str, **fields: Any) -> None:
-        self._log(logging.ERROR, event, fields)
-
-
-def get_logger(name: str) -> StructuredLogger:
-    """A structured logger namespaced under ``repro``.
-
-    ``name`` is typically ``__name__``; names outside the ``repro``
-    tree are re-rooted under it so :func:`configure` always governs
-    them.
-    """
-    if name != ROOT and not name.startswith(ROOT + "."):
-        name = f"{ROOT}.{name}"
-    return StructuredLogger(logging.getLogger(name))
 
 
 def configure(level: str = "info", json_output: bool = False,

@@ -23,9 +23,10 @@ classifications and merged metrics to the in-process run (DESIGN §6
 and §8).
 
 Pool runs are **fault tolerant**: failed shards retry with exponential
-backoff (and optional subdivision).  Completed shards can be
-checkpointed to disk and restored on restart
-(:mod:`repro.par.checkpoint`), and :mod:`repro.par.faults` provides the
+backoff, split in halves where they can be.  Completed shards can be
+checkpointed to disk and restored on restart, whatever worker layout
+wrote them (:mod:`repro.par.checkpoint`, on the shared
+:mod:`repro.par.store`), and :mod:`repro.par.faults` provides the
 test-only hooks that stage worker deaths so the recovery paths stay
 covered (``tests/test_par_faults.py``).
 
@@ -37,19 +38,10 @@ nearest snapshot and replay only the tail, instead of the whole prefix
 """
 
 from .shard import Shard, plan_shards, shard_cycles
-from .checkpoint import (
-    CHECKPOINT_VERSION,
-    CheckpointStore,
-    spec_hash,
-    strip_layout_dependent,
-)
+from .store import CHECKPOINT_VERSION, STATE_VERSION, spec_hash
+from .checkpoint import CheckpointStore, strip_layout_dependent
 from .faults import KILL, RAISE, FaultInjected, FaultPlan, ShardFault
-from .statestore import (
-    DEFAULT_SNAPSHOT_STRIDE,
-    STATE_VERSION,
-    StateStore,
-    state_spec_hash,
-)
+from .statestore import DEFAULT_SNAPSHOT_STRIDE, StateStore
 from .runner import (
     ShardResult,
     StudyFailure,
@@ -70,7 +62,6 @@ __all__ = [
     "DEFAULT_SNAPSHOT_STRIDE",
     "STATE_VERSION",
     "StateStore",
-    "state_spec_hash",
     "KILL",
     "RAISE",
     "FaultInjected",

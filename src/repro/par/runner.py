@@ -31,6 +31,7 @@ from concurrent.futures import (
 )
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import groupby
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..core.pipeline import CycleResult, LprPipeline
@@ -45,7 +46,6 @@ from ..obs import (
     StallWatchdog,
     Tracer,
     emit,
-    get_logger,
     get_registry,
     get_tracer,
     record_resources,
@@ -62,7 +62,6 @@ from .faults import FaultPlan, ShardFault
 from .shard import Shard, plan_shards, shard_cycles
 from .statestore import DEFAULT_SNAPSHOT_STRIDE, StateStore
 
-_log = get_logger(__name__)
 _SHARDS_RUN = get_registry().counter(
     "par_shards_total", "Shards executed by parallel study runs")
 _SHARD_CYCLES = get_registry().counter(
@@ -393,8 +392,6 @@ class _Telemetry:
             return
         for shard_id in self.watchdog.check():
             _SHARDS_STALLED.inc(shard=shard_id)
-            _log.warning("par.shard.stalled", shard=shard_id,
-                         timeout=self.watchdog.timeout)
             emit("shard.stalled", shard=shard_id,
                  timeout=self.watchdog.timeout)
             if self.health is not None:
@@ -536,7 +533,6 @@ def _fault(plan: Optional[FaultPlan], shard: Shard) -> Optional[ShardFault]:
 def run_study(spec: StudySpec, workers: int = 1, *,
               max_retries: int = 2,
               backoff_base: float = 0.5,
-              subdivide: bool = True,
               checkpoint_dir=None,
               state_dir=None,
               snapshot_stride: int = DEFAULT_SNAPSHOT_STRIDE,
@@ -557,12 +553,12 @@ def run_study(spec: StudySpec, workers: int = 1, *,
     pool, splitting cycles into pair blocks once workers outnumber
     them.  A pool shard whose worker dies or raises is re-dispatched
     up to ``max_retries`` times, ``backoff_base * 2^round`` seconds
-    apart (``sleep`` is injectable), and split in halves first when
-    ``subdivide`` is set; then the study aborts with
-    :class:`StudyFailure`.
+    apart (``sleep`` is injectable), split in halves where it can be;
+    then the study aborts with :class:`StudyFailure`.
 
     ``checkpoint_dir`` persists every finished shard, and a later run
-    restores it instead of re-running it (:mod:`repro.par.checkpoint`).
+    restores it instead of re-running it, whatever worker layout wrote
+    it (:mod:`repro.par.checkpoint`).
     ``state_dir`` shares control-plane snapshots every
     ``snapshot_stride`` cycles (:mod:`repro.par.statestore`); a pool
     run seeds them before dispatch.  ``fault_plan`` is the test-only
@@ -598,8 +594,6 @@ def run_study(spec: StudySpec, workers: int = 1, *,
                          spec.cycles if in_process else workers)
     emit("study.start", cycles=spec.cycles, workers=workers)
     emit("study.plan", shards=len(shards), workers=workers)
-    _log.info("par.study.start", cycles=spec.cycles, workers=workers,
-              shards=len(shards))
     registry = get_registry()
     manager = None
     try:
@@ -679,14 +673,10 @@ def run_study(spec: StudySpec, workers: int = 1, *,
                             f"attempts: {error}"
                         ) from error
                     _SHARD_RETRIES.inc(shard=shard.shard_id)
-                    _log.warning("par.shard.retry", shard=shard.shard_id,
-                                 first=shard.first, last=shard.last,
-                                 attempt=attempt + 1, error=str(error))
                     emit("shard.retry", shard=shard.shard_id,
                          first=shard.first, last=shard.last,
                          attempt=attempt + 1, error=str(error))
-                    children = (_halves(shard, next_id) if subdivide
-                                else [])
+                    children = _halves(shard, next_id)
                     next_id += len(children)
                     if children:
                         telemetry.abandon(shard.shard_id)
@@ -734,8 +724,6 @@ def run_study(spec: StudySpec, workers: int = 1, *,
         # The parent's own footprint, after every delta window closed.
         record_resources("parent", sample_resources())
     telemetry.finish()
-    _log.info("par.study.done", cycles=len(results),
-              shards=len(shards_out))
     emit("study.done", cycles=len(results), shards=len(shards_out))
     return StudyRun(simulator=simulator, pipeline=pipeline,
                     results=results, shards=shards_out)
@@ -748,36 +736,78 @@ def _restore(shards: List[Shard], store: Optional[CheckpointStore],
     """Fill ``whole``/``blocks`` from checkpoints; returns the shards
     still to run.
 
-    A pair block is satisfied by its cycle's whole-cycle checkpoint
-    (the key a one-worker run writes) before its own file."""
-    pending: List[Shard] = []
-    cycle_restored: set = set()
-    for shard in shards:
-        if shard.first in cycle_restored:
-            telemetry.register(shard, done=True)
-            continue
-        cached = None
-        if store is not None and (shard.block is None
-                                  or shard.block[0] == 0):
-            cached = store.load(shard.first, shard.last)
-        if cached is not None:
-            _add_whole(whole, cached, registry, absorb=True)
-            if shard.block is not None:
-                cycle_restored.add(shard.first)
-        elif shard.block is not None and store is not None:
-            cached = store.load(shard.first, shard.last, shard.block)
-            if cached is not None:
-                blocks.setdefault(shard.first, []).append(cached)
-        if cached is None:
-            pending.append(shard)
+    A *unit* is a cycle-range shard or the pair blocks of one cycle.
+    Stored whole-range files that chain from a unit's first cycle to a
+    unit's last cycle (:func:`_chain`) restore every unit they span, so
+    any worker layout's files serve any other's plan.  A block unit no
+    chain restores falls back to its blocks' own files."""
+    if store is None:
+        for shard in shards:
             telemetry.register(shard)
+        return list(shards)
+    units = [list(unit) for _, unit in groupby(shards,
+                                               key=lambda s: s.first)]
+    ends = {unit[0].last for unit in units}
+    spans = {key for key in store.keys() if len(key) == 2}
+    pending: List[Shard] = []
+    covered = 0
+    for unit in units:
+        head = unit[0]
+        if head.last > covered:
+            for cached in _chain(store, spans, head.first, head.last,
+                                 ends):
+                _add_whole(whole, cached, registry, absorb=True)
+                covered = cached.results[-1].cycle
+        if head.last <= covered:
+            for shard in unit:
+                telemetry.register(shard, done=True)
+            emit("shard.restored", shard=head.shard_id, first=head.first,
+                 last=head.last)
             continue
-        telemetry.register(shard, done=True)
-        emit("shard.restored", shard=shard.shard_id, first=shard.first,
-             last=shard.last,
-             **({"block": list(shard.block)}
-                if cached.block is not None else {}))
+        for shard in unit:
+            cached = (store.load(shard.first, shard.last, shard.block)
+                      if shard.block is not None else None)
+            if cached is None:
+                pending.append(shard)
+                telemetry.register(shard)
+                continue
+            blocks.setdefault(shard.first, []).append(cached)
+            telemetry.register(shard, done=True)
+            emit("shard.restored", shard=shard.shard_id,
+                 first=shard.first, last=shard.last,
+                 block=list(shard.block))
     return pending
+
+
+def _chain(store: CheckpointStore, spans: set, first: int, last: int,
+           ends: set) -> List[ShardResult]:
+    """Verified whole-range results chaining from ``first`` to the
+    nearest unit end the stored ``spans`` reach, or none.  The unit's
+    own file ``(first, last)`` is looked up first, as a same-layout
+    resume always did; a file that fails to verify leaves ``spans`` and
+    the search runs again."""
+    own = store.load(first, last)
+    if own is not None:
+        return [own]
+    spans.discard((first, last))
+    loaded: Dict[Tuple[int, int], Optional[ShardResult]] = {}
+    while True:
+        routes: Dict[int, List[Tuple[int, int]]] = {first - 1: []}
+        for start, end in sorted(spans):
+            if start - 1 in routes:
+                routes.setdefault(end, routes[start - 1] + [(start, end)])
+        reach = min((end for end in routes if end >= first and end in ends),
+                    default=None)
+        if reach is None:
+            return []
+        for key in routes[reach]:
+            if key not in loaded:
+                loaded[key] = store.load(*key)
+            if loaded[key] is None:
+                spans.discard(key)
+                break
+        else:
+            return [loaded[key] for key in routes[reach]]
 
 
 def _add_whole(whole: List[ShardResult], result: ShardResult, registry,

@@ -107,7 +107,23 @@ class TestObservabilityFlags:
         assert main(["--log-level", "info", "classify",
                      "--cycle-dir", str(campaign_dir / "cycle-30")]) == 0
         err = capsys.readouterr().err
-        assert "pipeline.cycle.done" in err
+        # Log lines are events, named by kind under repro.events.
+        assert "INFO    repro.events cycle.done cycle=30" in err
+
+    def test_corrupt_checkpoint_is_one_warning_line(self, tmp_path,
+                                                    capsys):
+        study = ["study", "--cycles", "2", "--scale", "0.25", "--seed",
+                 "7", "--artifacts", "table1", "--checkpoint-dir",
+                 str(tmp_path)]
+        assert main(study) == 0
+        (damaged,) = tmp_path.glob("*/shard-0002-0002.ckpt")
+        damaged.write_bytes(b"garbage")
+        capsys.readouterr()
+        assert main(study) == 0  # default --log-level warning
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert "WARNING repro.events checkpoint.rejected " \
+            "path=shard-0002-0002.ckpt reason=corrupt error=" in lines[0]
 
     def test_log_json_emits_json_lines(self, campaign_dir, capsys):
         assert main(["--log-level", "info", "--log-json", "classify",

@@ -55,8 +55,13 @@ def serial_run():
 def telemetry_run(tmp_path_factory):
     """One parallel run with every flight-recorder feature on,
     including the DESIGN §13 live plane: a telemetry server scraped
-    mid-run, resource sampling and an (ample) stall deadline."""
+    mid-run, resource sampling and an (ample) stall deadline.  It
+    checkpoints and snapshots into stores where one checkpoint file is
+    already corrupt."""
     out = tmp_path_factory.mktemp("flightrec")
+    checkpoints = CheckpointStore(out / "ckpt", SPEC)
+    checkpoints.directory.mkdir(parents=True)
+    checkpoints.path_for(2, 2).write_bytes(b"not a checkpoint")
     events_path = out / "events.jsonl"
     trace_path = out / "trace.json"
     ticks = []
@@ -84,7 +89,8 @@ def telemetry_run(tmp_path_factory):
     try:
         run = run_study(SPEC, workers=4, progress=on_progress,
                         resources=True, stall_timeout=300.0,
-                        health=health)
+                        health=health, checkpoint_dir=out / "ckpt",
+                        state_dir=out / "state", snapshot_stride=2)
         write_chrome_trace(trace_path, tracer)
     finally:
         bus.close()
@@ -264,6 +270,13 @@ class TestEventsFile:
         assert "par.worker" in report
         assert "== slowest cycles" in report
         assert "== stalls ==" not in report  # nothing stalled
+        checkpoints = report.split("== shard checkpoints ==\n")[1]
+        assert checkpoints.startswith(
+            "restores: 0  misses: 3  writes: 4  rejected: 1\n"
+            "rejects by reason: corrupt: 1")
+        snapshots = report.split("== warm-start state snapshots ==\n")[1]
+        assert snapshots.startswith("restores: 0  cold replays: 1  "
+                                    "writes: 2  rejected: 0")
 
     def test_json_report_mirrors_the_text_sections(self, telemetry_run):
         data = flight_report_data(
@@ -282,6 +295,11 @@ class TestEventsFile:
         assert any(row["span"] == "par.worker"
                    for row in decoded["stages"])
         assert "stalls" not in decoded
+        assert decoded["checkpoints"] == {
+            "restores": 0, "misses": 3, "writes": 4, "rejected": 1,
+            "cycles_restored": 0, "rejects_by_reason": {"corrupt": 1}}
+        assert decoded["state_snapshots"]["writes"] == 2
+        assert decoded["state_snapshots"]["rejects_by_reason"] == {}
 
     def test_report_cache_families_are_guarded(self, telemetry_run):
         # A study run has forwarding and ip2as-memo telemetry; the

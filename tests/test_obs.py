@@ -8,6 +8,7 @@ import pytest
 from repro.core import LprPipeline
 from repro.obs import (
     PROMETHEUS_CONTENT_TYPE,
+    EventBus,
     FakeClock,
     JsonFormatter,
     KeyValueFormatter,
@@ -16,7 +17,6 @@ from repro.obs import (
     NullClock,
     Tracer,
     configure_logging,
-    get_logger,
     get_registry,
     get_tracer,
     set_tracer,
@@ -25,6 +25,7 @@ from repro.obs import (
     to_prometheus,
     traced,
 )
+from repro.obs import events as events_module
 from repro.obs.metrics import Counter, Histogram
 from repro.sim import ArkSimulator, paper_scenario
 
@@ -352,43 +353,82 @@ class TestFormatNumber:
 
 
 class TestStructuredLogging:
+    """An emitted event is the log line: the bus logs it under
+    ``repro.events`` at the level its kind maps to."""
+
     def test_key_value_line(self, capsys):
         handler = configure_logging(level="info")
         try:
-            get_logger("repro.test").info("cycle.done", cycle=3,
-                                          note="two words")
+            EventBus().emit("cycle.done", cycle=3, note="two words")
         finally:
             logging.getLogger("repro").removeHandler(handler)
         err = capsys.readouterr().err
-        assert "repro.test cycle.done" in err
+        assert "INFO    repro.events cycle.done" in err
         assert "cycle=3" in err
         assert 'note="two words"' in err
 
     def test_json_lines(self, capsys):
         handler = configure_logging(level="debug", json_output=True)
         try:
-            get_logger("repro.test").debug("probe.sent", ttl=7)
+            EventBus().emit("shard.heartbeat", shard=7)
         finally:
             logging.getLogger("repro").removeHandler(handler)
         record = json.loads(capsys.readouterr().err.strip())
-        assert record["event"] == "probe.sent"
-        assert record["ttl"] == 7
+        assert record["event"] == "shard.heartbeat"
+        assert record["logger"] == "repro.events"
+        assert record["shard"] == 7
         assert record["level"] == "debug"
 
     def test_level_gating(self, capsys):
         handler = configure_logging(level="warning")
         try:
-            get_logger("repro.test").info("hidden")
-            get_logger("repro.test").warning("shown")
+            bus = EventBus()
+            bus.emit("checkpoint.hit", path="a.ckpt", cycles=1)
+            bus.emit("checkpoint.rejected", path="b.ckpt",
+                     reason="corrupt")
         finally:
             logging.getLogger("repro").removeHandler(handler)
         err = capsys.readouterr().err
-        assert "hidden" not in err
-        assert "shown" in err
+        assert "checkpoint.hit" not in err
+        assert "WARNING repro.events checkpoint.rejected path=b.ckpt " \
+            "reason=corrupt" in err
+        # Hidden or shown, both events were recorded.
+        assert [event.kind for event in bus.events] == \
+            ["checkpoint.hit", "checkpoint.rejected"]
 
-    def test_loggers_are_rerooted_under_repro(self):
-        assert get_logger("outsider").name == "repro.outsider"
-        assert get_logger("repro.sim.ark").name == "repro.sim.ark"
+    def test_level_table(self):
+        levels = events_module.LOG_LEVELS
+        assert {kind for kind, level in levels.items()
+                if level == logging.WARNING} == {
+            "checkpoint.rejected", "snapshot.rejected", "shard.retry",
+            "shard.stalled", "verify.divergence", "warts.record.skipped"}
+        assert {kind for kind, level in levels.items()
+                if level == logging.INFO} == {
+            "study.start", "study.done", "cycle.done", "checkpoint.hit",
+            "checkpoint.write", "snapshot.hit", "snapshot.write",
+            "verify.start", "verify.done", "verify.minimal"}
+        assert set(levels.values()) == {logging.WARNING, logging.INFO}
+
+    def test_hidden_levels_never_reach_the_logger(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(events_module._logger, "log",
+                            lambda level, kind, **extra:
+                            calls.append((level, kind)))
+        handler = configure_logging(level="warning")
+        try:
+            bus = EventBus()
+            bus.emit("cycle.metrics", cycle=1, metrics={})
+            bus.emit("study.done", cycles=1, shards=1)
+            bus.emit("shard.retry", shard=0, attempt=1, error="x")
+        finally:
+            logging.getLogger("repro").removeHandler(handler)
+        assert calls == [(logging.WARNING, "shard.retry")]
+
+    def test_events_log_under_the_repro_tree(self):
+        # configure() sets the level on the "repro" root, so it must
+        # govern the events logger.
+        assert events_module._logger.name == "repro.events"
+        assert events_module._logger.parent is logging.getLogger("repro")
 
     def test_rejects_unknown_level(self):
         with pytest.raises(ValueError):

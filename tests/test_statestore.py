@@ -35,7 +35,6 @@ from repro.par import (
     build_study,
     run_study,
     spec_hash,
-    state_spec_hash,
 )
 from repro.par.faults import RAISE, FaultInjected, FaultPlan, ShardFault
 from repro.sim import ArkSimulator
@@ -308,7 +307,8 @@ class TestStateStore:
     def test_foreign_spec_snapshot_is_rejected(self, tmp_path):
         store = self._seeded(tmp_path)
         other_spec = dataclasses.replace(SPEC, seed=8)
-        assert state_spec_hash(SPEC) != state_spec_hash(other_spec)
+        assert spec_hash(SPEC, "state_version") != \
+            spec_hash(other_spec, "state_version")
         # Smuggle SPEC's snapshot into the other spec's directory —
         # the embedded hash check must still reject it.
         target = StateStore(tmp_path, other_spec)
@@ -335,7 +335,7 @@ class TestStateStore:
     def test_state_hash_is_not_the_checkpoint_hash(self):
         # The two stores version independently; sharing a directory
         # must never alias their files.
-        assert state_spec_hash(SPEC) != spec_hash(SPEC)
+        assert spec_hash(SPEC, "state_version") != spec_hash(SPEC)
 
 
 # -- whole studies -----------------------------------------------------------
